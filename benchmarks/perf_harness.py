@@ -132,10 +132,10 @@ def run_cluster_workload(
     ``sampler_interval_us`` turns on the telemetry gauge sampler; the
     smoke gate runs the workload with and without it and requires
     identical invocation counts and latency checksums (the
-    zero-perturbation guard). ``fault_plan`` routes serving through
-    the fault-injection machinery; the smoke gate passes an *empty*
-    plan and requires the same bit-identical results — arming the
-    fault plane must cost nothing when no fault fires.
+    zero-perturbation guard). ``fault_plan`` arms the fault injector;
+    the smoke gate passes an *empty* plan and requires the same
+    bit-identical results — an injector with nothing to inject is
+    inert.
     ``observability`` attaches the full PR-9 plane — causal tracer,
     SLO monitor, flight recorder — and extends the same contract:
     everything on must still be bit-identical to everything off.
@@ -615,7 +615,7 @@ def check_durability_smoke() -> int:
     1. **Disabled means gone** — the cluster smoke workload with an
        explicit disabled :class:`DurabilityPolicy` must match the
        no-policy run's invocation count and latency checksum exactly
-       (the legacy checksum behaviour is untouched).
+       (a disabled plane adds nothing to the run).
     2. **Shard invariance** — a corruption-heavy 4-host run with
        durability (verified restores, 2 replicas, background scrub)
        at ``shards=1`` and ``shards=2`` must produce byte-identical
@@ -635,7 +635,7 @@ def check_durability_smoke() -> int:
                 f"FAIL: disabled-durability cluster {exact_key} "
                 f"{disabled[exact_key]} != no-policy "
                 f"{plain[exact_key]} — verification-off is not "
-                "bit-identical to the legacy path",
+                "bit-identical to the no-policy run",
                 file=sys.stderr,
             )
             status = 1
@@ -990,9 +990,9 @@ def main() -> int:
             status = 1
 
     # Fault-plane perturbation guard: the same workload with an armed
-    # (but empty) fault plan runs the robust serving path — attempt
-    # processes, race combinators, retry bookkeeping — and must still
-    # produce bit-identical invocation counts and latency checksums.
+    # (but empty) fault plan adds only the fault injector — every run
+    # serves through the same attempt path — and must produce
+    # bit-identical invocation counts and latency checksums.
     from repro.faults import FaultPlan
 
     armed_metrics = run_cluster_workload(fault_plan=FaultPlan.empty())
@@ -1001,8 +1001,8 @@ def main() -> int:
             print(
                 f"FAIL: fault-armed cluster {exact_key} "
                 f"{armed_metrics[exact_key]} != unarmed "
-                f"{cluster_metrics[exact_key]} — the empty fault plan "
-                "perturbed the simulation",
+                f"{cluster_metrics[exact_key]} — an injector with an "
+                "empty plan is not inert",
                 file=sys.stderr,
             )
             status = 1

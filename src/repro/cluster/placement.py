@@ -25,13 +25,19 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Sequence
+from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 
 class HostView(abc.ABC):
-    """What a placement policy may observe about one host."""
+    """What a placement policy may observe about one host.
+
+    Besides the methods below, a view carries its global ``index`` and
+    the health plane's ``healthy`` and ``crashed`` flags (read by
+    :class:`HealthFiltered` and :func:`pick_failover`)."""
 
     index: int
+    healthy: bool
+    crashed: bool
 
     @property
     @abc.abstractmethod
@@ -56,8 +62,8 @@ class StaticHostView(HostView):
     ``projected`` counts dispatches the router has since routed there
     within the current window, so same-window arrivals see each
     other's load exactly like same-instant arrivals do on the
-    single-heap path. The ``healthy`` field makes the view compatible
-    with :class:`HealthFiltered`.
+    single-heap path. The ``healthy`` and ``crashed`` fields feed
+    :class:`HealthFiltered` and :func:`pick_failover`.
     """
 
     index: int
@@ -66,6 +72,7 @@ class StaticHostView(HostView):
     idle_warm: FrozenSet[str] = field(default_factory=frozenset)
     snapshots: FrozenSet[str] = field(default_factory=frozenset)
     healthy: bool = True
+    crashed: bool = False
 
     @property
     def load(self) -> int:
@@ -180,6 +187,23 @@ class HealthFiltered(PlacementPolicy):
         self.filtered_choices += 1
         views = [hosts[i] for i in healthy]
         return healthy[self.inner.choose(views, function)]
+
+
+def pick_failover(
+    hosts: Sequence[HostView],
+    exclude: int,
+    function: str,
+    policy: PlacementPolicy,
+) -> Optional[HostView]:
+    """The host for a retry or hedge attempt: ``policy`` chooses among
+    the healthy hosts other than index ``exclude``, falling back to
+    any non-crashed one. ``None`` when the cluster has no
+    alternative."""
+    others = [h for h in hosts if h.index != exclude and not h.crashed]
+    candidates = [h for h in others if h.healthy] or others
+    if not candidates:
+        return None
+    return candidates[policy.choose(candidates, function)]
 
 
 class HotSwappablePlacement(PlacementPolicy):

@@ -46,6 +46,7 @@ from repro.cluster.placement import (
     HotSwappablePlacement,
     PlacementPolicy,
     make_placement,
+    pick_failover,
 )
 from repro.faults import (
     DISABLED_DURABILITY,
@@ -141,8 +142,9 @@ class ClusterConfig:
     #: Per-host platform tunables (device spec, batching, CPU slots).
     platform: PlatformConfig = PlatformConfig()
     #: Self-healing knobs (retries, hedging, health, shedding,
-    #: deadlines). The default disables everything, which keeps the
-    #: legacy serving path and its exact event schedule.
+    #: deadlines). The default disables every feature: invocations
+    #: still serve through the attempt path, but none is retried,
+    #: hedged, shed or cut off by a deadline.
     recovery: RecoveryPolicy = DISABLED_RECOVERY
     #: Run seed: the environment's single randomness stream (fault
     #: error draws, backoff jitter) derives from it.
@@ -150,7 +152,7 @@ class ClusterConfig:
     #: Snapshot durability plane (per-chunk checksums, replicas,
     #: verified restores, scrubbing). Disabled by default, which
     #: keeps the run bit-identical to pre-durability behaviour;
-    #: enabling it routes serving through the robust path.
+    #: enabling it arms the run (injector and verified restores).
     durability: DurabilityPolicy = DISABLED_DURABILITY
 
     def __post_init__(self) -> None:
@@ -271,6 +273,10 @@ class _HostState(HostView):
     def has_snapshot_for(self, function: str) -> bool:
         return function in self.snapshots
 
+    @property
+    def crashed(self) -> bool:
+        return self.host.crashed
+
     # -- loader gates --------------------------------------------------
 
     def acquire_gate(self, artifacts: RecordArtifacts) -> set:
@@ -337,12 +343,12 @@ class ClusterSimulator(ClusterScheduler):
 
         ``fault_plan`` replays a :class:`~repro.faults.FaultPlan`
         against the run, with fault times relative to the end of the
-        prep epoch. Passing a plan (even an empty one) or enabling
-        any :class:`~repro.faults.RecoveryPolicy` feature routes
-        serving through the robust path — which with an empty plan
-        and idle features produces the same invocation outcomes and
-        latencies as the legacy inline path (the perf harness gates
-        this parity).
+        prep epoch. Every run serves through the same attempt path;
+        passing a plan (even an empty one) or enabling any
+        :class:`~repro.faults.RecoveryPolicy` feature only adds the
+        fault injector and health monitor. An injector with an empty
+        plan is inert: outcomes and latencies match the plan-free run
+        (the perf harness gates this).
 
         The observability plane rides along the same way: ``causal``
         (a :class:`~repro.metrics.causal.CausalTracer`), ``slo`` (a
@@ -352,12 +358,10 @@ class ClusterSimulator(ClusterScheduler):
         checksum is bit-identical to an instrument-free run (the perf
         harness's observability guard pins this).
 
-        Since the service refactor this is a thin wrapper: the batch
-        run is one canned command stream (inject everything, then
-        drain) replayed through the :class:`~repro.service.core.
-        ClusterService` serving core, bit-identical to the historical
-        inline driver loop (the perf harness's cluster checksums gate
-        the equivalence).
+        The batch run is one canned command stream (inject everything,
+        then drain) replayed through the :class:`~repro.service.core.
+        ClusterService` serving core; the perf harness's cluster
+        checksums pin its results.
         """
         from repro.service.core import ClusterService
 
@@ -408,11 +412,10 @@ class ClusterSimulator(ClusterScheduler):
         self._flight = getattr(self, "_flight", None)
         self._obs_epoch_us = 0.0
         self._inv_seq = 0
-        #: Armed = the run wants the robust serving path. An empty
-        #: plan still arms it (you asked for fault machinery; you get
-        #: its code path, which must then be behaviour-identical).
-        #: The durability plane also arms it: verified restores and
-        #: replica failover live on the attempt path.
+        #: Armed = the run asked for fault machinery: a fault plan
+        #: (even an empty one), a recovery feature, or the durability
+        #: plane. It decides whether the injector and health monitor
+        #: exist; every run serves through the same attempt path.
         self._armed = (
             fault_plan is not None
             or bool(recovery.armed_features)
@@ -424,11 +427,9 @@ class ClusterSimulator(ClusterScheduler):
         )
         # Placement chain, innermost out: the configured policy, a
         # hot-swap shim (the live service's ``swap_placement``), a
-        # health filter, and telemetry counting. The health filter is
-        # always present — it delegates untouched while every host is
-        # healthy, so the unarmed batch path keeps its exact event
-        # schedule, and live drain/crash state works even on runs that
-        # never armed the fault machinery.
+        # health filter, and telemetry counting. The health filter
+        # delegates untouched while every host is healthy, and makes
+        # live drain/crash state work on any run.
         self._hot_placement = HotSwappablePlacement(
             make_placement(self.config.placement)
         )
@@ -445,15 +446,29 @@ class ClusterSimulator(ClusterScheduler):
         self._ctr_snapshot = counter("cluster.scheduler.snapshot_starts")
         self._ctr_cold = counter("cluster.scheduler.cold_starts")
         self._ctr_evictions = counter("cluster.scheduler.evictions")
+        # Retry budget, hedge tracker and failure counters: the attempt
+        # path reads them on every run, armed or not.
+        budget = self._retry_budget = self._make_retry_budget(recovery)
+        tracker = self._hedge_tracker = HedgeTracker(recovery.hedge)
+        self._ctr_failed = counter("cluster.scheduler.failed")
+        self._ctr_shed = counter("cluster.scheduler.shed")
+        self._ctr_retries = counter("retry.attempts")
+        self._ctr_degraded = counter("cluster.scheduler.degraded_starts")
+        self._ctr_corrupt = counter(
+            "cluster.scheduler.snapshot_corruptions"
+        )
+        self.registry.pull_counter("retry.spent", lambda: budget.spent)
+        self.registry.pull_counter("retry.denied", lambda: budget.denied)
+        self.registry.pull_counter("hedge.fired", lambda: tracker.fired)
+        self.registry.pull_counter("hedge.won", lambda: tracker.won)
+        self.registry.pull_counter(
+            "hedge.cancelled", lambda: tracker.cancelled
+        )
         self.injector: Optional[FaultInjector] = None
         self.monitor: Optional[HealthMonitor] = None
         self.durability: Optional[DurabilityManager] = None
-        self._retry_budget: Optional[RetryBudget] = None
-        self._hedge_tracker: Optional[HedgeTracker] = None
         self._checksum_cache: Dict[Any, Any] = {}
-        self._robust_ready = False
         if self._armed:
-            self._install_robust_machinery()
             self.injector = FaultInjector(
                 env, fault_plan, observer=self._fault_observer
             )
@@ -478,36 +493,6 @@ class ClusterSimulator(ClusterScheduler):
                 on_reintegrate=self._on_health_reintegrate,
             )
         return env
-
-    def _install_robust_machinery(self) -> None:
-        """Instruments and policy objects the robust serving path
-        needs (retry budget, hedge tracker, failure counters). Called
-        at ``_begin_run`` for armed runs, or lazily the first time a
-        live ``arm`` command upgrades an unarmed run. Idempotent —
-        re-arming keeps the run's budget and counters."""
-        if self._robust_ready:
-            return
-        self._robust_ready = True
-        recovery = self.config.recovery
-        counter = self.registry.counter
-        self._retry_budget = self._make_retry_budget(recovery)
-        self._hedge_tracker = HedgeTracker(recovery.hedge)
-        self._ctr_failed = counter("cluster.scheduler.failed")
-        self._ctr_shed = counter("cluster.scheduler.shed")
-        self._ctr_retries = counter("retry.attempts")
-        self._ctr_degraded = counter("cluster.scheduler.degraded_starts")
-        self._ctr_corrupt = counter(
-            "cluster.scheduler.snapshot_corruptions"
-        )
-        budget = self._retry_budget
-        self.registry.pull_counter("retry.spent", lambda: budget.spent)
-        self.registry.pull_counter("retry.denied", lambda: budget.denied)
-        tracker = self._hedge_tracker
-        self.registry.pull_counter("hedge.fired", lambda: tracker.fired)
-        self.registry.pull_counter("hedge.won", lambda: tracker.won)
-        self.registry.pull_counter(
-            "hedge.cancelled", lambda: tracker.cancelled
-        )
 
     def _finish_run(self) -> ClusterReport:
         """Fold device stats into the report and canonicalise its
@@ -657,10 +642,7 @@ class ClusterSimulator(ClusterScheduler):
     def _dispatch_arrival(
         self, arrival: Arrival, instant: float, processes: List[Any]
     ):
-        """Place and launch one arrival at the current instant — the
-        verbatim per-arrival body of the old driver loop. The serve
-        path is chosen per dispatch (not hoisted) so a live ``arm``
-        command flips subsequent arrivals onto the robust path."""
+        """Place and launch one arrival at the current instant."""
         env = self.env
         for hs in self._hosts:
             self._evict_expired(hs, env.now)
@@ -685,9 +667,8 @@ class ClusterSimulator(ClusterScheduler):
         self._flight_record(
             hs.host.host_id, "dispatch", function=arrival.function
         )
-        serve = self._serve_robust if self._armed else self._serve
         proc = env.process(
-            serve(hs, arrival, instant, ctx),
+            self._serve_robust(hs, arrival, instant, ctx),
             name=f"serve:{arrival.function}@{hs.host.host_id}",
         )
         processes.append(proc)
@@ -790,10 +771,8 @@ class ClusterSimulator(ClusterScheduler):
             context["slo"] = self._slo.status(self._obs_now())
         if self.monitor is not None:
             context["health"] = self.monitor.summary()
-        if self._retry_budget is not None:
-            context["retry_budget"] = self._retry_budget.summary()
-        if self._hedge_tracker is not None:
-            context["hedging"] = self._hedge_tracker.summary()
+        context["retry_budget"] = self._retry_budget.summary()
+        context["hedging"] = self._hedge_tracker.summary()
         context["hosts"] = {
             hs.host.host_id: {
                 "healthy": hs.healthy,
@@ -878,16 +857,13 @@ class ClusterSimulator(ClusterScheduler):
     #
     # Everything below mutates a *running* simulation between event
     # dispatches; the service core exposes each as a journaled
-    # command. None of them are reachable from the batch path, so the
-    # legacy event schedule cannot be perturbed.
+    # command. None of them are reachable from the batch path, so a
+    # batch run's event schedule cannot be perturbed.
 
     def arm_fault_plan(self, plan: Optional[FaultPlan]) -> FaultInjector:
-        """Arm ``plan`` mid-run (fault times relative to *now*),
-        upgrading an unarmed run to the robust serving path first.
-        A previously armed plan is disarmed; in-flight invocations
-        that started on the legacy path finish on it, new dispatches
-        take the robust path."""
-        self._install_robust_machinery()
+        """Arm ``plan`` mid-run (fault times relative to *now*). A
+        previously armed plan is disarmed first. Serving needs no
+        change: every run already serves through the attempt path."""
         self._armed = True
         if self.injector is not None:
             self.injector.disarm()
@@ -901,8 +877,8 @@ class ClusterSimulator(ClusterScheduler):
 
     def disarm_faults(self) -> None:
         """Cancel pending faults and revoke open degradation windows
-        (see :meth:`FaultInjector.disarm`). The robust serving path
-        stays on — it is behaviour-identical with no active faults."""
+        (see :meth:`FaultInjector.disarm`). The run stays armed: an
+        injector with nothing pending is inert."""
         if self.injector is not None:
             self.injector.disarm()
 
@@ -1032,134 +1008,13 @@ class ClusterSimulator(ClusterScheduler):
             )
         return artifacts
 
-    def _serve(
-        self, hs: _HostState, arrival: Arrival, instant: float, ctx=None
-    ) -> Generator[Event, Any, None]:
-        env = self.env
-        config = self.config
-        function = arrival.function
-
-        # The driver counted us into ``hs.queued`` at placement time.
-        slot = None
-        if hs.admission is not None:
-            slot = hs.admission.request()
-            yield slot
-        hs.queued -= 1
-        hs.active += 1
-        hs.stats.admission_wait_us += env.now - instant
-        eph = None
-        tracer = hs.tracer
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(),
-                "admitted",
-                host=hs.host.host_id,
-                wait_us=env.now - instant,
-            )
-            eph = self._attempt_tracer(hs)
-            tracer = eph
-        try:
-            vm = hs.idle.reuse_mru(function)
-            if vm is not None:
-                kind = StartKind.WARM
-                if ctx is not None:
-                    ctx.emit(self._obs_now(), "start", kind=kind.value)
-                result = yield from hs.host.invocation(
-                    self._artifacts_for(hs, function, Policy.WARM),
-                    config.test_input,
-                    Policy.WARM,
-                    tracer=tracer,
-                )
-            else:
-                has_snapshot = config.snapshots_enabled and (
-                    config.assume_snapshots_exist
-                    or function in hs.snapshots
-                )
-                kind = (
-                    StartKind.SNAPSHOT if has_snapshot else StartKind.COLD
-                )
-                estimate = hs.known_memory.get(function, 0.0)
-                self._evict_until_fits(hs, estimate)
-                hs.memory_mb += estimate
-                vm = PooledVm(
-                    function=function,
-                    memory_mb=estimate,
-                    busy_until=0.0,
-                    last_used=env.now,
-                )
-                if ctx is not None:
-                    ctx.emit(self._obs_now(), "start", kind=kind.value)
-                if kind is StartKind.SNAPSHOT:
-                    result = yield from self._snapshot_start(
-                        hs, function, tracer=tracer
-                    )
-                else:
-                    result = yield from self._cold_start(
-                        hs, function, tracer=tracer
-                    )
-
-            # Learn the function's warm footprint from the actual VM.
-            actual_mb = result.rss_pages * PAGE_SIZE / 1e6
-            hs.memory_mb += actual_mb - vm.memory_mb
-            vm.memory_mb = actual_mb
-            hs.known_memory[function] = actual_mb
-            # The first completed invocation leaves a snapshot behind
-            # (fleet semantics; shared storage publishes cluster-wide).
-            hs.snapshots.add(function)
-
-            now = env.now
-            vm.busy_until = now
-            vm.last_used = now
-            if config.keep_alive_ttl_us > 0:
-                hs.idle.park(vm)
-            else:
-                hs.memory_mb -= vm.memory_mb
-
-            hs.stats.invocations += 1
-            self._ctr_invocations.value += 1
-            if kind is StartKind.WARM:
-                hs.stats.warm_starts += 1
-                self._ctr_warm.value += 1
-            elif kind is StartKind.SNAPSHOT:
-                hs.stats.snapshot_starts += 1
-                self._ctr_snapshot.value += 1
-            else:
-                hs.stats.cold_starts += 1
-                self._ctr_cold.value += 1
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "outcome",
-                    outcome=InvocationOutcome.OK.value,
-                    host=hs.host.host_id,
-                    kind=kind.value,
-                    latency_us=now - instant,
-                )
-            self._record_served(
-                ServedInvocation(
-                    time_us=arrival.time_us,
-                    function=function,
-                    kind=kind,
-                    latency_us=now - instant,
-                    host=hs.host.host_id,
-                )
-            )
-        finally:
-            if ctx is not None:
-                self._fold_phases(hs, ctx, eph)
-            hs.active -= 1
-            if slot is not None:
-                hs.admission.release(slot)
-
-    # -- robust serving (the self-healing control plane) ---------------
+    # -- serving: one attempt state machine ----------------------------
     #
-    # The legacy ``_serve`` above is the *unarmed* path: its inline
-    # structure (and therefore its exact event schedule) is what every
-    # golden figure and perf checksum was recorded against, so it is
-    # kept verbatim. When a run is armed (a fault plan was passed or
-    # any recovery feature is on), ``_serve_robust`` takes over: each
-    # try runs as its own *attempt process* that a host crash can
-    # interrupt, a deadline can abandon, and a hedge can race.
+    # Every arrival is served by ``_serve_robust``: each try runs as its
+    # own *attempt process* that a host crash can interrupt, a deadline
+    # can abandon, and a hedge can race. An unarmed run is the
+    # degenerate case — no faults fire, no feature is on, so the first
+    # attempt always wins its round.
 
     def _serve_robust(
         self, hs: _HostState, arrival: Arrival, instant: float, ctx=None
@@ -1167,31 +1022,9 @@ class ClusterSimulator(ClusterScheduler):
         env = self.env
         recovery = self.config.recovery
         function = arrival.function
-        retry = recovery.retry
-        budget = self._retry_budget
         tracker = self._hedge_tracker
-        budget.on_arrival()
 
-        shedding = recovery.shedding
-        if (
-            shedding.max_queue_depth is not None
-            and hs.load > shedding.max_queue_depth
-        ):
-            # Reject at admission: the host is drowning, and taking
-            # one more arrival would push everyone's tail out further.
-            hs.queued -= 1
-            hs.stats.shed += 1
-            self._ctr_shed.inc()
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "shed",
-                    host=hs.host.host_id,
-                    load=hs.load,
-                )
-            self._flight_record(
-                hs.host.host_id, "shed", function=function
-            )
+        if self._shed_at_admission(hs, function, ctx):
             self._record_served(
                 ServedInvocation(
                     time_us=arrival.time_us,
@@ -1277,8 +1110,7 @@ class ClusterSimulator(ClusterScheduler):
                         if pos != windex and proc.is_alive:
                             proc.interrupt("lost the hedge race")
                             tracker.cancelled += 1
-                    if tracker is not None:
-                        tracker.record(env.now - starts[windex])
+                    tracker.record(env.now - starts[windex])
                     if windex > 0:
                         tracker.won += 1
                         outcome = InvocationOutcome.HEDGE_WON
@@ -1305,7 +1137,12 @@ class ClusterSimulator(ClusterScheduler):
                     break
                 if hedge_evt is not None and hedge_evt.processed:
                     hedged_this_round = True
-                    other = self._pick_failover(current, function)
+                    other = pick_failover(
+                        self._hosts,
+                        current.index,
+                        function,
+                        self._failover_placement,
+                    )
                     if other is not None:
                         launched += 1
                         tracker.fired += 1
@@ -1337,57 +1174,34 @@ class ClusterSimulator(ClusterScheduler):
             if outcome is not None:
                 break
 
-            # The whole round failed. Decide between retrying (with
-            # backoff + failover) and giving up.
-            causes = [
-                c.cause if isinstance(c, Interrupt) else c
-                for c in round_failure.causes
-            ]
-            for cause in causes:
-                if not isinstance(cause, FaultError):
-                    raise round_failure  # a genuine bug — surface it
-            retryable = not any(
-                isinstance(c, DeadlineExceeded) for c in causes
+            # The whole round failed: retry (with backoff + failover)
+            # or give up.
+            backoff = self._retry_backoff(
+                round_failure, rounds, deadline_at, hs, ctx
             )
-            if (
-                retryable
-                and retry.enabled
-                and rounds < retry.max_attempts
-                and budget.try_spend()
-            ):
-                backoff = retry.backoff_us(rounds, env.rng)
-                if deadline_at is not None and (
-                    env.now + backoff >= deadline_at
-                ):
-                    outcome = InvocationOutcome.FAILED
-                    break
-                hs.stats.retries += 1
-                self._ctr_retries.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "retry",
-                        round=rounds,
-                        backoff_us=backoff,
-                    )
-                self._flight_record(
-                    current.host.host_id, "retry", function=function
+            if backoff is None:
+                outcome = InvocationOutcome.FAILED
+                break
+            self._flight_record(
+                current.host.host_id, "retry", function=function
+            )
+            if backoff > 0:
+                yield env.timeout(backoff)
+            if recovery.failover:
+                nxt = pick_failover(
+                    self._hosts,
+                    current.index,
+                    function,
+                    self._failover_placement,
                 )
-                if backoff > 0:
-                    yield env.timeout(backoff)
-                if recovery.failover:
-                    nxt = self._pick_failover(current, function)
-                    if nxt is not None:
-                        current = nxt
-                        if ctx is not None:
-                            ctx.emit(
-                                self._obs_now(),
-                                "failover",
-                                host=current.host.host_id,
-                            )
-                continue
-            outcome = InvocationOutcome.FAILED
-            break
+                if nxt is not None:
+                    current = nxt
+                    if ctx is not None:
+                        ctx.emit(
+                            self._obs_now(),
+                            "failover",
+                            host=current.host.host_id,
+                        )
 
         if outcome is InvocationOutcome.FAILED:
             current.stats.failures += 1
@@ -1421,6 +1235,79 @@ class ClusterSimulator(ClusterScheduler):
             )
         )
 
+    def _shed_at_admission(
+        self, hs: _HostState, function: str, ctx=None
+    ) -> bool:
+        """Count one arrival into the retry budget and apply the
+        admission-shed rule. When ``hs`` is past the shedding queue
+        depth the arrival is rejected: its queue slot is released and
+        the shed is counted. Returns whether it was shed; the caller
+        records the outcome."""
+        self._retry_budget.on_arrival()
+        limit = self.config.recovery.shedding.max_queue_depth
+        if limit is None or hs.load <= limit:
+            return False
+        # Reject at admission: the host is drowning, and taking one
+        # more arrival would push everyone's tail out further.
+        hs.queued -= 1
+        hs.stats.shed += 1
+        self._ctr_shed.inc()
+        if ctx is not None:
+            ctx.emit(
+                self._obs_now(), "shed", host=hs.host.host_id, load=hs.load
+            )
+        self._flight_record(hs.host.host_id, "shed", function=function)
+        return True
+
+    def _retry_backoff(
+        self,
+        failure: AllFailed,
+        rounds: int,
+        deadline_at: Optional[float],
+        hs: _HostState,
+        ctx=None,
+        allowed: bool = True,
+        **detail: Any,
+    ) -> Optional[float]:
+        """Decide a failed round: the backoff (µs) to wait before the
+        next round, or ``None`` to give up.
+
+        A cause that is not a :class:`FaultError` is a genuine bug and
+        is re-raised. A retry needs ``allowed``, no deadline-exceeded
+        cause, the retry policy on, attempts left and a budget token,
+        and its backoff must end before the deadline. A granted retry
+        is counted on ``hs``; ``detail`` extends its causal event."""
+        causes = [
+            c.cause if isinstance(c, Interrupt) else c
+            for c in failure.causes
+        ]
+        for cause in causes:
+            if not isinstance(cause, FaultError):
+                raise failure
+        retry = self.config.recovery.retry
+        if not (
+            allowed
+            and not any(isinstance(c, DeadlineExceeded) for c in causes)
+            and retry.enabled
+            and rounds < retry.max_attempts
+            and self._retry_budget.try_spend()
+        ):
+            return None
+        backoff = retry.backoff_us(rounds, self.env.rng)
+        if deadline_at is not None and self.env.now + backoff >= deadline_at:
+            return None
+        hs.stats.retries += 1
+        self._ctr_retries.inc()
+        if ctx is not None:
+            ctx.emit(
+                self._obs_now(),
+                "retry",
+                round=rounds,
+                backoff_us=backoff,
+                **detail,
+            )
+        return backoff
+
     def _launch_attempt(
         self,
         target: _HostState,
@@ -1447,8 +1334,8 @@ class ClusterSimulator(ClusterScheduler):
     def _attempt(
         self, hs: _HostState, arrival: Arrival, ctx=None, attempt_no: int = 1
     ) -> Generator[Event, Any, StartKind]:
-        """One try at serving ``arrival`` on ``hs``; the body mirrors
-        the legacy ``_serve`` exactly, wrapped in the bookkeeping that
+        """One try at serving ``arrival`` on ``hs``: warm reuse,
+        snapshot restore or cold boot, wrapped in the bookkeeping that
         makes it abortable (queue/active counts, memory reservation
         and admission slots all unwind on interruption)."""
         env = self.env
@@ -1622,7 +1509,9 @@ class ClusterSimulator(ClusterScheduler):
                         hs, function, tracer=tracer
                     )
 
-            # Success: identical post-processing to the legacy path.
+            # Success: learn the warm footprint, publish the snapshot
+            # (fleet semantics: the first completed invocation leaves
+            # one behind; shared storage publishes cluster-wide).
             actual_mb = result.rss_pages * PAGE_SIZE / 1e6
             hs.memory_mb += actual_mb - vm.memory_mb
             vm.memory_mb = actual_mb
@@ -1721,28 +1610,6 @@ class ClusterSimulator(ClusterScheduler):
             self.monitor.note_failure(hs)
         else:
             hs.error_times.append(self.env.now)
-
-    def _pick_failover(
-        self, exclude: _HostState, function: str
-    ) -> Optional[_HostState]:
-        """A healthy host other than ``exclude`` for a retry or hedge
-        attempt, chosen by the run's placement policy over the
-        filtered candidates (falling back to any non-crashed host, or
-        ``None`` when the cluster has no alternative)."""
-        views = [
-            h
-            for h in self._hosts
-            if h is not exclude and h.healthy and not h.host.crashed
-        ]
-        if not views:
-            views = [
-                h
-                for h in self._hosts
-                if h is not exclude and not h.host.crashed
-            ]
-        if not views:
-            return None
-        return views[self._failover_placement.choose(views, function)]
 
     # -- fault-injector target interface -------------------------------
 

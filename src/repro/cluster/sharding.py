@@ -12,13 +12,15 @@ Topology
 
 The unit of simulation is the **host**: each host gets its own
 :class:`~repro.sim.engine.Environment` (clock, heap, rng, registry)
-wrapped in a single-host :class:`_ShardHostSim`. A **shard** is a
+wrapped in a single-host :class:`_ShardHostSim`, which serves each
+dispatch through the single-heap path's attempt state machine (armed
+or not; an unarmed run is its degenerate case). A **shard** is a
 batch of host sims owned by one worker process; the parent process
 runs the **router**, which owns everything cross-host:
 
 * placement (:class:`~repro.cluster.placement.CountingPlacement` over
   :class:`~repro.cluster.placement.StaticHostView` snapshots, health-
-  filtered exactly like the single-heap armed path);
+  filtered exactly like the single-heap path);
 * the cluster-wide retry budget (each host holds one
   :meth:`~repro.faults.RetryBudget.partitioned` slice, pooled and
   redistributed at every barrier with
@@ -95,6 +97,7 @@ from repro.cluster.placement import (
     HealthFiltered,
     StaticHostView,
     make_placement,
+    pick_failover,
 )
 from repro.cluster.scheduler import (
     ClusterConfig,
@@ -109,7 +112,6 @@ from repro.faults import (
     RetryBudget,
     rebalance_tokens,
 )
-from repro.faults.errors import FaultError
 from repro.fleet.scheduler import (
     InvocationOutcome,
     ServedInvocation,
@@ -120,7 +122,7 @@ from repro.metrics.causal import CausalRecorder, ROUTER_SRC, TraceContext
 from repro.metrics.exporters import merge_shard_snapshots, registry_snapshot
 from repro.metrics.stats import Histogram
 from repro.metrics.telemetry import MetricsRegistry
-from repro.sim import AllFailed, Interrupt
+from repro.sim import AllFailed
 from repro.storage.device import Degradation
 from repro.storage.presets import EBS_IO2
 
@@ -259,11 +261,12 @@ class _Shed:
 class _ShardHostSim(ClusterSimulator):
     """A single-host cluster sim driven window-by-window.
 
-    Reuses the parent class's entire setup (:meth:`_begin_run`),
-    attempt body (:meth:`_attempt`), unarmed serve (:meth:`_serve`)
-    and fault-injector surface verbatim; what changes is the driver:
-    instead of iterating a trace, the host executes router dispatches
-    and reports digests at window barriers.
+    Reuses the parent class's entire setup (:meth:`_begin_run`,
+    :meth:`_start_serving_epoch`), attempt body (:meth:`_attempt`),
+    admission-shed and retry decisions and fault-injector surface
+    verbatim; what changes is the driver: instead of iterating a
+    trace, the host executes router dispatches and reports digests at
+    window barriers.
     """
 
     def __init__(self, fleet, config: ClusterConfig, host_index: int):
@@ -276,8 +279,6 @@ class _ShardHostSim(ClusterSimulator):
         super().__init__(fleet, sub)
         self.host_index = host_index
         self.total_hosts = total
-        #: serve-entry id → inv id, for harvesting unarmed completions.
-        self._inv_for_serve: Dict[int, int] = {}
 
     # Hooks into the parent's setup -----------------------------------
 
@@ -294,41 +295,27 @@ class _ShardHostSim(ClusterSimulator):
     # Window-driven lifecycle ------------------------------------------
 
     def begin(
-        self,
-        fault_plan: Optional[FaultPlan],
-        armed: bool,
-        causal: bool = False,
+        self, fault_plan: Optional[FaultPlan], causal: bool = False
     ) -> Dict[str, Any]:
         """Run the prep epoch and arm fault machinery; returns the
         initial digest. ``causal`` installs a per-host
         :class:`~repro.metrics.causal.CausalRecorder` (source = host
         index) whose events each window digest drains back to the
         router."""
-        host_id = self._host_id(0)
-        sub_plan = plan_for_host(fault_plan, host_id)
-        if sub_plan is None and armed:
-            sub_plan = FaultPlan.empty()
         if causal:
             # Installed before ``_begin_run`` so its getattr pickup
             # keeps this host-sourced recorder.
             self._causal_rec = CausalRecorder(self.host_index)
-        env = self._begin_run(None, sub_plan)
+        env = self._begin_run(
+            None, plan_for_host(fault_plan, self._host_id(0))
+        )
         self.sampler = None
         self._latency_hist = self.registry.histogram(
             "cluster.latency_us", edges=LATENCY_HISTOGRAM_EDGES
         )
         prep = env.process(self._prepare(), name="shard-prep")
         env.run(until=prep)
-        self._epoch = env.now
-        self._obs_epoch_us = self._epoch
-        self._report.prep_us = env.now
-        if self.injector is not None:
-            self.injector.arm(self, epoch_us=self._epoch)
-        if self.monitor is not None:
-            self.monitor.start()
-        if self.durability is not None:
-            self.durability.start_scrubber(self._host_id(0))
-        self._served_cursor = 0
+        self._epoch = self._start_serving_epoch()
         self._out_completions: List[_Completion] = []
         self._out_failures: List[_Failure] = []
         self._out_sheds: List[_Shed] = []
@@ -347,7 +334,7 @@ class _ShardHostSim(ClusterSimulator):
         if published:
             hs.snapshots.update(published)
         tokens = updates.get("budget_tokens")
-        if tokens is not None and self._retry_budget is not None:
+        if tokens is not None:
             self._retry_budget.tokens = tokens
         if self._shared_device is not None:
             if self._bg_degradation is not None:
@@ -408,24 +395,6 @@ class _ShardHostSim(ClusterSimulator):
         self._out_completions = []
         self._out_failures = []
         self._out_sheds = []
-        if not self._armed:
-            # Unarmed serves are the parent class's verbatim ``_serve``;
-            # completions are harvested from its report entries.
-            new = self._report.served[self._served_cursor :]
-            self._served_cursor = len(self._report.served)
-            completions = completions + [
-                _Completion(
-                    inv_id=self._inv_for_serve.pop(id(s)),
-                    host_index=self.host_index,
-                    finish_us=s.time_us + s.latency_us,
-                    kind=s.kind,
-                    rounds=1,
-                    local_rounds=1,
-                    attempt_latency_us=s.latency_us,
-                    is_hedge=False,
-                )
-                for s in new
-            ]
         shared_bytes = 0
         if self._shared_device is not None:
             total = self._shared_device.stats.bytes_read
@@ -437,14 +406,10 @@ class _ShardHostSim(ClusterSimulator):
             "sheds": sheds,
             "load": hs.load,
             "healthy": hs.healthy,
-            "crashed": hs.host.crashed,
+            "crashed": hs.crashed,
             "idle_warm": tuple(hs.idle.idle_functions()),
             "snapshots": tuple(sorted(hs.snapshots)),
-            "tokens": (
-                self._retry_budget.tokens
-                if self._retry_budget is not None
-                else None
-            ),
+            "tokens": self._retry_budget.tokens,
             "shared_bytes": shared_bytes,
             "window_events": window_events,
         }
@@ -479,59 +444,50 @@ class _ShardHostSim(ClusterSimulator):
                 host=hs.host.host_id,
                 hedge=d.is_hedge,
             )
-        if self._armed:
-            yield from self._serve_sharded(hs, d, ctx)
-        else:
-            arrival = Arrival(time_us=d.arrival_us, function=d.function)
-            yield from self._serve(hs, arrival, env.now, ctx)
-            # ``_serve`` appends its entry and returns with no further
-            # yields, so the new entry is the last one right now.
-            entry = self._report.served[-1]
-            self._inv_for_serve[id(entry)] = d.inv_id
-            self._latency_hist.observe(entry.latency_us)
+        yield from self._serve_sharded(hs, d, ctx)
 
     def _serve_sharded(self, hs, d: _Dispatch, ctx=None):
-        """The armed serve chain for one dispatch: mirrors the parent
-        class's ``_serve_robust`` round loop, but everything cross-host
-        — failover, hedging, final outcomes — is handed back to the
-        router as failure/completion records."""
+        """The serve chain for one dispatch: the parent class's
+        attempt, admission-shed and retry decisions, with everything
+        cross-host — failover, hedging, final outcomes — handed back
+        to the router as failure/completion records."""
         env = self.env
         recovery = self.config.recovery
-        retry = recovery.retry
-        budget = self._retry_budget
         function = d.function
 
         if d.is_hedge:
             hs.stats.hedges += 1
-        if d.is_initial:
-            budget.on_arrival()
-            shedding = recovery.shedding
-            if (
-                shedding.max_queue_depth is not None
-                and hs.load > shedding.max_queue_depth
-            ):
-                hs.queued -= 1
-                hs.stats.shed += 1
-                self._ctr_shed.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "shed",
-                        host=hs.host.host_id,
-                        load=hs.load,
-                    )
-                self._out_sheds.append(
-                    _Shed(d.inv_id, self.host_index, d.arrival_us)
-                )
-                return
+        if d.is_initial and self._shed_at_admission(hs, function, ctx):
+            self._out_sheds.append(
+                _Shed(d.inv_id, self.host_index, d.arrival_us)
+            )
+            return
 
         deadline_at = (
             self._epoch + d.arrival_us + recovery.deadline_us
             if recovery.deadline_us is not None
             else None
         )
+        cross_host = bool(recovery.failover and self.total_hosts > 1)
         arrival = Arrival(time_us=d.arrival_us, function=function)
         rounds = d.attempt_base
+
+        def fail(backoff_us: Optional[float] = None) -> None:
+            """Hand the chain to the router: a failover request after
+            ``backoff_us``, or (``None``) a final failure."""
+            self._out_failures.append(
+                _Failure(
+                    d.inv_id,
+                    self.host_index,
+                    env.now - self._epoch,
+                    rounds,
+                    rounds - d.attempt_base,
+                    wants_retry=backoff_us is not None,
+                    backoff_us=backoff_us or 0.0,
+                    is_hedge=d.is_hedge,
+                )
+            )
+
         pre_counted = True
         while True:
             rounds += 1
@@ -581,99 +537,27 @@ class _ShardHostSim(ClusterSimulator):
                             "deadline-exceeded",
                             deadline_us=recovery.deadline_us,
                         )
-                    self._out_failures.append(
-                        _Failure(
-                            d.inv_id,
-                            self.host_index,
-                            env.now - self._epoch,
-                            rounds,
-                            rounds - d.attempt_base,
-                            wants_retry=False,
-                            backoff_us=0.0,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
+                    fail()
                     return
                 continue  # pragma: no cover - no other wake source
 
-            causes = [
-                c.cause if isinstance(c, Interrupt) else c
-                for c in round_failure.causes
-            ]
-            for cause in causes:
-                if not isinstance(cause, FaultError):
-                    raise round_failure  # a genuine bug — surface it
-            retryable = not any(
-                isinstance(c, DeadlineExceeded) for c in causes
+            # Hedge attempts never retry; a cross-host retry goes back
+            # to the router, which picks the failover host and
+            # redispatches after the backoff.
+            backoff = self._retry_backoff(
+                round_failure,
+                rounds,
+                deadline_at,
+                hs,
+                ctx,
+                allowed=not d.is_hedge,
+                failover=cross_host,
             )
-            if (
-                not d.is_hedge
-                and retryable
-                and retry.enabled
-                and rounds < retry.max_attempts
-                and budget.try_spend()
-            ):
-                backoff = retry.backoff_us(rounds, env.rng)
-                if deadline_at is not None and (
-                    env.now + backoff >= deadline_at
-                ):
-                    self._out_failures.append(
-                        _Failure(
-                            d.inv_id,
-                            self.host_index,
-                            env.now - self._epoch,
-                            rounds,
-                            rounds - d.attempt_base,
-                            wants_retry=False,
-                            backoff_us=0.0,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
-                    return
-                hs.stats.retries += 1
-                self._ctr_retries.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "retry",
-                        round=rounds,
-                        backoff_us=backoff,
-                        failover=bool(
-                            recovery.failover and self.total_hosts > 1
-                        ),
-                    )
-                if recovery.failover and self.total_hosts > 1:
-                    # Cross-host retry: the router picks the failover
-                    # host and redispatches after the backoff.
-                    self._out_failures.append(
-                        _Failure(
-                            d.inv_id,
-                            self.host_index,
-                            env.now - self._epoch,
-                            rounds,
-                            rounds - d.attempt_base,
-                            wants_retry=True,
-                            backoff_us=backoff,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
-                    return
-                if backoff > 0:
-                    yield env.timeout(backoff)
-                continue
-            self._out_failures.append(
-                _Failure(
-                    d.inv_id,
-                    self.host_index,
-                    env.now - self._epoch,
-                    rounds,
-                    rounds - d.attempt_base,
-                    wants_retry=False,
-                    backoff_us=0.0,
-                    is_hedge=d.is_hedge,
-                )
-            )
-            return
+            if backoff is None or cross_host:
+                fail(backoff)
+                return
+            if backoff > 0:
+                yield env.timeout(backoff)
 
 
 def _build_host_sims(
@@ -682,7 +566,7 @@ def _build_host_sims(
     return [_ShardHostSim(fleet, config, i) for i in host_indices]
 
 
-def _shard_worker_main(conn, fleet, config, host_indices, armed, plan, causal):
+def _shard_worker_main(conn, fleet, config, host_indices, plan, causal):
     """Worker process: owns one shard's host sims, executes router
     commands from the pipe until told to stop. Module-level (and all
     arguments picklable) so the ``spawn`` start method works too."""
@@ -692,12 +576,7 @@ def _shard_worker_main(conn, fleet, config, host_indices, armed, plan, causal):
             msg = conn.recv()
             cmd = msg[0]
             if cmd == "begin":
-                conn.send(
-                    {
-                        s.host_index: s.begin(plan, armed, causal)
-                        for s in sims
-                    }
-                )
+                conn.send({s.host_index: s.begin(plan, causal) for s in sims})
             elif cmd == "window":
                 _, until_us, updates, dispatches = msg
                 out = {}
@@ -725,17 +604,16 @@ class _SerialBackend:
     cannot tell the backends apart, which is the determinism
     argument in one sentence."""
 
-    def __init__(self, fleet, config, armed, plan, causal=False):
+    def __init__(self, fleet, config, plan, causal=False):
         self._sims = _build_host_sims(
             fleet, config, range(config.num_hosts)
         )
-        self._armed = armed
         self._plan = plan
         self._causal = causal
 
     def begin(self):
         return {
-            s.host_index: s.begin(self._plan, self._armed, self._causal)
+            s.host_index: s.begin(self._plan, self._causal)
             for s in self._sims
         }
 
@@ -760,7 +638,7 @@ class _ProcessBackend:
     preferred with a ``spawn`` fallback (same discipline as
     ``experiments.runner.parallel_map``)."""
 
-    def __init__(self, fleet, config, armed, plan, groups, causal=False):
+    def __init__(self, fleet, config, plan, groups, causal=False):
         ctx = None
         for method in ("fork", "spawn"):
             try:
@@ -777,7 +655,7 @@ class _ProcessBackend:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(child_conn, fleet, config, group, armed, plan, causal),
+                args=(child_conn, fleet, config, group, plan, causal),
                 daemon=True,
             )
             proc.start()
@@ -898,42 +776,28 @@ class ShardedClusterSimulator:
         invariant to the shard count."""
         config = self.config
         H = config.num_hosts
-        recovery = config.recovery
-        armed = (
-            fault_plan is not None
-            or bool(recovery.armed_features)
-            or config.durability.enabled
-        )
         registry = MetricsRegistry()
         self.registry = registry
-        inner = make_placement(config.placement)
-        if armed:
-            inner = HealthFiltered(inner)
-        failover = inner
+        failover = HealthFiltered(make_placement(config.placement))
         placement = CountingPlacement(
-            inner, registry, [f"host{i}" for i in range(H)]
+            failover, registry, [f"host{i}" for i in range(H)]
         )
         ctr_windows = registry.counter("cluster.router.windows")
         ctr_redispatch = registry.counter("cluster.router.redispatches")
-        tracker: Optional[HedgeTracker] = None
-        if armed:
-            ctr_failed = registry.counter("cluster.scheduler.failed")
-            tracker = HedgeTracker(recovery.hedge)
-            registry.pull_counter("hedge.fired", lambda: tracker.fired)
-            registry.pull_counter("hedge.won", lambda: tracker.won)
-            registry.pull_counter(
-                "hedge.cancelled", lambda: tracker.cancelled
-            )
+        ctr_failed = registry.counter("cluster.scheduler.failed")
+        tracker = HedgeTracker(config.recovery.hedge)
+        registry.pull_counter("hedge.fired", lambda: tracker.fired)
+        registry.pull_counter("hedge.won", lambda: tracker.won)
+        registry.pull_counter("hedge.cancelled", lambda: tracker.cancelled)
 
         if self.shards == 1:
             backend = _SerialBackend(
-                self.fleet, config, armed, fault_plan, causal is not None
+                self.fleet, config, fault_plan, causal is not None
             )
         else:
             backend = _ProcessBackend(
                 self.fleet,
                 config,
-                armed,
                 fault_plan,
                 partition_hosts(H, self.shards),
                 causal is not None,
@@ -947,8 +811,7 @@ class ShardedClusterSimulator:
                 tracker,
                 ctr_windows,
                 ctr_redispatch,
-                ctr_failed if armed else None,
-                armed,
+                ctr_failed,
                 causal,
             )
         finally:
@@ -962,11 +825,10 @@ class ShardedClusterSimulator:
         backend,
         placement,
         failover,
-        tracker: Optional[HedgeTracker],
+        tracker: HedgeTracker,
         ctr_windows,
         ctr_redispatch,
         ctr_failed,
-        armed: bool,
         causal=None,
     ) -> ClusterReport:
         config = self.config
@@ -1127,10 +989,6 @@ class ShardedClusterSimulator:
                             )
                         continue
                     meta.done = True
-                    if not armed:
-                        # Unarmed entries are recorded host-side by
-                        # the verbatim legacy serve path.
-                        continue
                     tracker.record(rec.attempt_latency_us)
                     if rec.is_hedge:
                         tracker.won += 1
@@ -1173,12 +1031,14 @@ class ShardedClusterSimulator:
                 retry_rec = meta.stashed_retry
                 meta.stashed_retry = None
                 if retry_rec is not None:
-                    target = self._pick_failover_host(
-                        views, failover, retry_rec.host_index,
-                        meta.function,
+                    view = pick_failover(
+                        views, retry_rec.host_index, meta.function, failover
                     )
-                    if target is None:
-                        target = retry_rec.host_index
+                    target = (
+                        view.index
+                        if view is not None
+                        else retry_rec.host_index
+                    )
                     start = max(
                         w_end,
                         retry_rec.fail_us + retry_rec.backoff_us,
@@ -1240,11 +1100,7 @@ class ShardedClusterSimulator:
                 )
 
             # 4. barrier-time hedge decisions for the next window.
-            if (
-                tracker is not None
-                and config.recovery.hedge.enabled
-                and H > 1
-            ):
+            if config.recovery.hedge.enabled and H > 1:
                 threshold = tracker.threshold_us()
                 if threshold is not None:
                     deadline = config.recovery.deadline_us
@@ -1265,12 +1121,12 @@ class ShardedClusterSimulator:
                             w_end >= meta.arrival_us + deadline
                         ):
                             continue
-                        target = self._pick_failover_host(
-                            views, failover, meta.primary_host,
-                            meta.function,
+                        view = pick_failover(
+                            views, meta.primary_host, meta.function, failover
                         )
-                        if target is None:
+                        if view is None:
                             continue
+                        target = view.index
                         meta.hedged = True
                         tracker.fired += 1
                         if crec is not None:
@@ -1301,11 +1157,10 @@ class ShardedClusterSimulator:
 
             # 5. compute next window's barrier updates.
             updates = {i: {} for i in range(H)}
-            if armed:
-                allocation = rebalance_tokens(tokens)
-                for i in range(H):
-                    tokens[i] = allocation[i]
-                    updates[i]["budget_tokens"] = allocation[i]
+            allocation = rebalance_tokens(tokens)
+            for i in range(H):
+                tokens[i] = allocation[i]
+                updates[i]["budget_tokens"] = allocation[i]
             if shared:
                 total_bytes = sum(shared_bytes)
                 for i in range(H):
@@ -1344,37 +1199,13 @@ class ShardedClusterSimulator:
         )
         view.healthy = digest["healthy"] and not digest["crashed"]
         view.crashed = digest["crashed"]
-        if digest["tokens"] is not None:
-            tokens[index] = digest["tokens"]
+        tokens[index] = digest["tokens"]
         shared_bytes[index] = digest["shared_bytes"]
         if self.config.snapshot_tier == TIER_SHARED_EBS:
             published.update(digest["snapshots"])
         self._durability_events.extend(
             digest.get("durability_events", ())
         )
-
-    @staticmethod
-    def _pick_failover_host(
-        views, failover, exclude: int, function: str
-    ) -> Optional[int]:
-        """Router twin of ``ClusterSimulator._pick_failover``, over
-        barrier views instead of live hosts."""
-        candidates = [
-            v
-            for v in views
-            if v.index != exclude and v.healthy
-        ]
-        if not candidates:
-            candidates = [
-                v
-                for v in views
-                if v.index != exclude and not getattr(v, "crashed", False)
-            ]
-        if not candidates:
-            return None
-        return candidates[
-            failover.choose(candidates, function)
-        ].index
 
     def _assemble(
         self, backend, served_router, failed_by_host, prep_us

@@ -4,8 +4,8 @@ Each scenario is a deterministic :class:`~repro.faults.FaultPlan`
 builder plus the cluster-config overrides that make the failure mode
 observable (device scenarios disable keep-alive so every start
 actually touches the device; the EBS spike forces the shared tier).
-``run_chaos`` runs the same dense trace twice — once fault-free on
-the legacy serving path, once under the plan with recovery — and the
+``run_chaos`` runs the same dense trace twice — once fault-free and
+unarmed, once under the plan with recovery — and the
 :class:`ChaosReport` compares them: availability, goodput, retry
 amplification, and the p50/p99/p99.9 tail against the no-fault run.
 

@@ -1,7 +1,7 @@
 """Recovery policies and their runtime state.
 
 The policy dataclasses here are immutable knobs the cluster scheduler
-reads on its robust serving path: per-invocation deadlines, jittered
+reads on its attempt serving path: per-invocation deadlines, jittered
 exponential-backoff retries under a global budget, tail-latency
 hedging, health-driven failover, and admission-control load shedding
 with a degraded restore mode. :class:`RetryBudget` and
@@ -203,10 +203,10 @@ class RecoveryPolicy:
 
     @property
     def armed_features(self) -> Tuple[str, ...]:
-        """Names of the enabled recovery features. Non-empty means the
-        scheduler must take the robust serving path; empty (the
-        default policy) keeps the legacy inline path and its exact
-        event schedule."""
+        """Names of the enabled recovery features. Non-empty arms the
+        run (fault injector, and the health monitor when health is
+        on); empty (the default policy) leaves it unarmed. Both serve
+        through the same attempt path."""
         features = []
         if self.retry.enabled:
             features.append("retries")

@@ -335,6 +335,7 @@ class ClusterService:
                 f"service already drained; {command.name!r} rejected"
             )
         sim = self.simulator
+        self._validate(command)
         if isinstance(command, InjectCommand):
             # Valid before start: batch mode pre-loads the heap so the
             # pump never parks (exact legacy event schedule).
@@ -411,6 +412,27 @@ class ClusterService:
                 "mean_latency_us": report.mean_latency_us(),
             }
         raise ServiceError(f"unhandled command {command.name!r}")
+
+    def _validate(self, command: Command) -> None:
+        """Reject a command that names a function outside the fleet or
+        a host the cluster does not have. Runs before any state
+        changes (prep included), so a rejected command leaves nothing
+        to journal and the service keeps serving."""
+        sim = self.simulator
+        if isinstance(command, InjectCommand):
+            unknown = sorted(
+                {fn for _, fn in command.arrivals} - set(sim._profiles)
+            )
+            if unknown:
+                raise ServiceError(
+                    f"inject: unknown function(s) {', '.join(unknown)}"
+                )
+        elif isinstance(command, (DrainHostCommand, UndrainHostCommand)):
+            if command.host not in sim._host_by_id:
+                raise ServiceError(
+                    f"{command.name}: unknown host {command.host!r}; "
+                    f"known: {', '.join(sim._host_by_id)}"
+                )
 
     # -- lifecycle -----------------------------------------------------
 

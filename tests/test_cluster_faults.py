@@ -71,8 +71,9 @@ def served_tuples(report):
 
 
 def test_empty_plan_is_bit_identical_to_legacy_path():
-    """Arming the fault plane with nothing to inject must reproduce
-    the legacy serving path's exact latencies, hosts, and kinds."""
+    """An injector with an empty plan is inert: the armed run must
+    reproduce the plan-free run's exact latencies, hosts, and kinds
+    (both serve through the same attempt path)."""
     fleet = fleet_of("f0", "f1")
     trace = spaced_trace(6)
     config = ClusterConfig(num_hosts=2, placement="least-loaded", seed=5)

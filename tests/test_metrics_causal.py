@@ -243,3 +243,30 @@ def test_single_heap_causal_trace_round_trips_through_json():
     assert srcs == {ROUTER_SRC}
     kinds = {e["kind"] for inv in doc["invocations"] for e in inv["events"]}
     assert {"dispatch", "attempt", "retry", "outcome"} <= kinds
+
+
+def test_unarmed_run_speaks_the_attempt_vocabulary():
+    """An unarmed single-heap run serves through the same attempt
+    state machine as an armed one: every served invocation's story
+    has exactly one ``attempt`` and one ``attempt-ok``, and its event
+    kinds match an empty-plan armed run of the same trace."""
+    fleet, storm, _, _ = _storm_inputs()
+    trace = ArrivalTrace(arrivals=storm.arrivals[:20], duration_us=2e6)
+    config = ClusterConfig(num_hosts=2, seed=7)
+    stories = {}
+    for plan in (None, FaultPlan.empty()):
+        causal = CausalTracer()
+        report = ClusterSimulator(fleet, config).run(
+            trace, fault_plan=plan, causal=causal
+        )
+        assert report.count() == 20
+        stories[plan is not None] = [
+            [e["kind"] for e in inv["events"]]
+            for inv in causal.document()["invocations"]
+        ]
+    unarmed = stories[False]
+    assert len(unarmed) == 20
+    for kinds in unarmed:
+        assert kinds.count("attempt") == 1
+        assert kinds.count("attempt-ok") == 1
+    assert unarmed == stories[True]

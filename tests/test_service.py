@@ -362,3 +362,46 @@ def test_journal_replay_detects_divergence(tmp_path):
     outcome = replay_journal(str(path))
     assert not outcome.ok
     assert outcome.mismatches[0]["field"] == "served"
+
+
+# -- fail-closed boundaries --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["inject 2000000:nosuchfn", "drain-host host9", "undrain-host host9"],
+)
+def test_unknown_names_are_rejected_and_the_journal_replays(tmp_path, bad):
+    path = tmp_path / "svc.journal"
+    journal = JournalWriter(str(path))
+    service = build_service(
+        {
+            "functions": 4,
+            "fleet_seed": 5,
+            "hosts": 2,
+            "seed": 3,
+            "source": {"kind": "none"},
+        },
+        journal=journal,
+    )
+    # Rejected before the run starts (prep must not run) ...
+    with pytest.raises(ServiceError):
+        service.execute(parse_command(bad))
+    assert service.execute(StatusCommand())["started"] is False
+    service.execute(parse_command("inject 1000000:fn0001"))
+    service.execute(parse_command("advance 2000"))
+    # ... and mid-run, with no state change and nothing journaled.
+    before = service.digest()
+    with pytest.raises(ServiceError):
+        service.execute(parse_command(bad))
+    assert service.digest() == before
+    service.execute(parse_command("inject 3000000:fn0002 3000000:fn0001"))
+    service.execute(parse_command("advance 5000"))
+    service.execute(DrainCommand())
+    journal.close()
+    assert len(service.report.served) == 3
+
+    outcome = replay_journal(str(path))
+    assert outcome.ok, outcome.mismatches
+    assert outcome.entries == 5
+    assert _checksum(outcome.service.report) == _checksum(service.report)
