@@ -521,6 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import (
         CommandError,
         DrainCommand,
+        JournalError,
         JournalWriter,
         ServiceError,
         StatusCommand,
@@ -530,7 +531,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.replay:
-        outcome = replay_journal(args.replay)
+        try:
+            outcome = replay_journal(args.replay)
+        except JournalError as exc:
+            print(f"replay FAILED: unreadable journal ({exc})")
+            return 1
         if outcome.ok:
             print(
                 f"replay OK: {outcome.entries} command(s), "

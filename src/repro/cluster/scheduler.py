@@ -68,7 +68,6 @@ from repro.faults.durability import VERIFY_CORRUPT, VERIFY_SILENT
 from repro.faults.errors import FaultError
 from repro.metrics.causal import ROUTER_SRC, TraceContext
 from repro.metrics.flight import CLUSTER_RING
-from repro.metrics.telemetry import Sampler
 from repro.metrics.tracing import Tracer
 from repro.core.host import Host
 from repro.core.policies import Policy
@@ -213,6 +212,79 @@ class ClusterReport(FleetReport):
 
     def count_on(self, host: str) -> int:
         return sum(1 for s in self.served if s.host == host)
+
+
+@dataclass(frozen=True)
+class ServeResult:
+    """What one serve chain (:meth:`ClusterSimulator._serve_robust`)
+    did. Each serving family turns it into its own record: the single
+    heap into a :class:`ServedInvocation`, a shard host into a done,
+    fail or shed record for the router."""
+
+    #: Host of the winning attempt, or the host the chain ended on.
+    host: "_HostState"
+    #: Start kind of the winning attempt; ``None`` when shed or failed.
+    kind: Optional[StartKind] = None
+    shed: bool = False
+    #: Rounds run, those of earlier dispatches of the invocation
+    #: included, and attempts launched (hedges included).
+    rounds: int = 0
+    attempts: int = 0
+    #: Duration of the winning attempt (the hedge-threshold sample).
+    attempt_us: float = 0.0
+    hedge_won: bool = False
+    #: A granted retry handed back to the caller: the backoff (µs)
+    #: after which the invocation should run on another host.
+    handoff_us: Optional[float] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.kind is None and not self.shed
+
+
+def settle_outcome(
+    ctx,
+    t_us: float,
+    arrival: Arrival,
+    host: str,
+    latency_us: float,
+    attempts: int,
+    kind: Optional[StartKind] = None,
+    rounds: int = 1,
+    hedge_won: bool = False,
+    shed: bool = False,
+) -> ServedInvocation:
+    """The outcome rule, one for every serving family: classify an
+    invocation's end state, emit its causal ``outcome`` event at
+    ``t_us`` through ``ctx`` (none for a shed arrival, whose ``shed``
+    event already closes its story) and return its record. A start
+    ``kind`` means success: won by a hedge, after retries, or on the
+    first round; no kind means failure, unless ``shed``."""
+    if shed:
+        outcome = InvocationOutcome.SHED
+        latency_us, attempts = 0.0, 0
+    elif kind is None:
+        outcome = InvocationOutcome.FAILED
+    elif hedge_won:
+        outcome = InvocationOutcome.HEDGE_WON
+    elif rounds > 1:
+        outcome = InvocationOutcome.RETRIED
+    else:
+        outcome = InvocationOutcome.OK
+    if ctx is not None and not shed:
+        ctx.emit(
+            t_us,
+            "outcome",
+            outcome=outcome.value,
+            host=host,
+            kind=kind.value if kind is not None else None,
+            attempts=attempts,
+            latency_us=latency_us,
+        )
+    return ServedInvocation(
+        arrival.time_us, arrival.function, kind, latency_us, host, outcome,
+        attempts,
+    )
 
 
 class _HostState(HostView):
@@ -382,6 +454,11 @@ class ClusterSimulator(ClusterScheduler):
         name."""
         return f"host{index}"
 
+    def _cluster_size(self) -> int:
+        """Hosts in the whole cluster. A shard host sim owns one of
+        them; this simulator owns them all."""
+        return len(self._hosts)
+
     def _make_retry_budget(self, recovery: RecoveryPolicy) -> RetryBudget:
         """The run's retry budget. Sharded execution overrides this to
         hand each host one partition of the cluster-wide bucket."""
@@ -394,7 +471,13 @@ class ClusterSimulator(ClusterScheduler):
         driver process: environment, report, placement, counters,
         fault machinery, hosts, health monitor. Split out of ``run``
         so the sharded execution path can reuse it verbatim for its
-        per-host sims."""
+        per-host sims. A fault plan that names a host or function
+        outside the cluster is rejected (``ValueError``) first."""
+        if fault_plan is not None:
+            fault_plan.check_topology(
+                [self._host_id(i) for i in range(self.config.num_hosts)],
+                self._profiles,
+            )
         env = Environment(seed=self.config.seed)
         self.env = env
         self.registry = env.metrics
@@ -668,7 +751,7 @@ class ClusterSimulator(ClusterScheduler):
             hs.host.host_id, "dispatch", function=arrival.function
         )
         proc = env.process(
-            self._serve_robust(hs, arrival, instant, ctx),
+            self._serve_arrival(hs, arrival, instant, ctx),
             name=f"serve:{arrival.function}@{hs.host.host_id}",
         )
         processes.append(proc)
@@ -719,7 +802,7 @@ class ClusterSimulator(ClusterScheduler):
 
     def _record_served(self, served: ServedInvocation) -> None:
         """Append one outcome to the report and feed the SLO/flight
-        planes. The single funnel for every serving path."""
+        planes. The single funnel for every single-heap outcome."""
         self._report.served.append(served)
         if self._slo is None and self._flight is None:
             return
@@ -863,7 +946,11 @@ class ClusterSimulator(ClusterScheduler):
     def arm_fault_plan(self, plan: Optional[FaultPlan]) -> FaultInjector:
         """Arm ``plan`` mid-run (fault times relative to *now*). A
         previously armed plan is disarmed first. Serving needs no
-        change: every run already serves through the attempt path."""
+        change: every run already serves through the attempt path. A
+        plan naming a host or function outside the cluster is rejected
+        (``ValueError``) before anything changes."""
+        if plan is not None:
+            plan.check_topology(self._host_by_id, self._profiles)
         self._armed = True
         if self.injector is not None:
             self.injector.disarm()
@@ -1010,48 +1097,82 @@ class ClusterSimulator(ClusterScheduler):
 
     # -- serving: one attempt state machine ----------------------------
     #
-    # Every arrival is served by ``_serve_robust``: each try runs as its
+    # ``_serve_robust`` is the one serve chain: each try runs as its
     # own *attempt process* that a host crash can interrupt, a deadline
-    # can abandon, and a hedge can race. An unarmed run is the
-    # degenerate case — no faults fire, no feature is on, so the first
-    # attempt always wins its round.
+    # can abandon, and a hedge can race. It returns a
+    # :class:`ServeResult`; its caller records it — ``_serve_arrival``
+    # on the single heap, the shard host's ``_serve_dispatch`` under
+    # the window router. An unarmed run is the degenerate case: no
+    # faults fire, no feature is on, so the first attempt always wins
+    # its round.
 
-    def _serve_robust(
+    def _serve_arrival(
         self, hs: _HostState, arrival: Arrival, instant: float, ctx=None
     ) -> Generator[Event, Any, None]:
+        """Single heap: serve one placed arrival through the chain and
+        record its outcome."""
+        result = yield from self._serve_robust(hs, arrival, instant, ctx)
+        if result.failed:
+            result.host.stats.failures += 1
+            self._ctr_failed.inc()
+        self._record_served(
+            settle_outcome(
+                ctx,
+                self._obs_now(),
+                arrival,
+                result.host.host.host_id,
+                self.env.now - instant,
+                result.attempts,
+                kind=result.kind,
+                rounds=result.rounds,
+                hedge_won=result.hedge_won,
+                shed=result.shed,
+            )
+        )
+
+    def _serve_robust(
+        self,
+        hs: _HostState,
+        arrival: Arrival,
+        instant: float,
+        ctx=None,
+        rounds: int = 0,
+        admit: bool = True,
+        may_retry: bool = True,
+    ) -> Generator[Event, Any, ServeResult]:
+        """Serve ``arrival`` on ``hs`` round by round: launch, race,
+        deadline, retry with backoff. ``instant`` is the nominal
+        arrival instant (the deadline base); ``rounds`` counts the
+        rounds earlier dispatches of the invocation already ran;
+        ``admit`` applies the admission-shed rule; ``may_retry=False``
+        gives up after one failed round.
+
+        Topology decides the rest. The hedge timer is armed only when
+        this simulator owns a second host to hedge onto. A granted
+        retry fails over to another owned host, or, when failover is
+        on and the cluster has hosts this simulator does not own, is
+        handed back to the caller (:attr:`ServeResult.handoff_us`)."""
         env = self.env
         recovery = self.config.recovery
         function = arrival.function
         tracker = self._hedge_tracker
 
-        if self._shed_at_admission(hs, function, ctx):
-            self._record_served(
-                ServedInvocation(
-                    time_us=arrival.time_us,
-                    function=function,
-                    kind=None,
-                    latency_us=0.0,
-                    host=hs.host.host_id,
-                    outcome=InvocationOutcome.SHED,
-                    attempts=0,
-                )
-            )
-            return
+        if admit and self._shed_at_admission(hs, function, ctx):
+            return ServeResult(hs, shed=True)
 
         deadline_at = (
             instant + recovery.deadline_us
             if recovery.deadline_us is not None
             else None
         )
-        rounds = 0
-        launched = 0
+        handoff = recovery.failover and self._cluster_size() > len(
+            self._hosts
+        )
+        launched = rounds
         pre_counted = True
         current = hs
-        outcome: Optional[InvocationOutcome] = None
-        winner_kind: Optional[StartKind] = None
-        winner_host = hs
 
-        while outcome is None:
+        while True:
             rounds += 1
             launched += 1
             procs = [
@@ -1064,7 +1185,6 @@ class ClusterSimulator(ClusterScheduler):
             attempt_ids = [launched]
             pre_counted = False
             hedged_this_round = False
-            round_failure: Optional[BaseException] = None
 
             while True:
                 race = env.first_success(procs)
@@ -1077,6 +1197,7 @@ class ClusterSimulator(ClusterScheduler):
                     recovery.hedge.enabled
                     and not hedged_this_round
                     and len(procs) == 1
+                    and len(self._hosts) > 1
                 ):
                     threshold = tracker.threshold_us()
                     if threshold is not None:
@@ -1092,8 +1213,7 @@ class ClusterSimulator(ClusterScheduler):
                     round_failure = exc
                     break
                 if race.triggered and race.ok:
-                    windex, winner_kind = race.value
-                    winner_host = hosts_used[windex]
+                    windex, kind = race.value
                     if ctx is not None and len(procs) > 1:
                         # The winner/loser link of a hedge pair.
                         ctx.emit(
@@ -1110,15 +1230,18 @@ class ClusterSimulator(ClusterScheduler):
                         if pos != windex and proc.is_alive:
                             proc.interrupt("lost the hedge race")
                             tracker.cancelled += 1
-                    tracker.record(env.now - starts[windex])
+                    attempt_us = env.now - starts[windex]
+                    tracker.record(attempt_us)
                     if windex > 0:
                         tracker.won += 1
-                        outcome = InvocationOutcome.HEDGE_WON
-                    elif rounds > 1:
-                        outcome = InvocationOutcome.RETRIED
-                    else:
-                        outcome = InvocationOutcome.OK
-                    break
+                    return ServeResult(
+                        hosts_used[windex],
+                        kind=kind,
+                        rounds=rounds,
+                        attempts=launched,
+                        attempt_us=attempt_us,
+                        hedge_won=windex > 0,
+                    )
                 # Timeouts are born triggered (the pooled fast path
                 # decides their value at creation); ``processed`` is
                 # the "has actually fired" test.
@@ -1133,8 +1256,9 @@ class ClusterSimulator(ClusterScheduler):
                     for proc in procs:
                         if proc.is_alive:
                             proc.interrupt(cause)
-                    outcome = InvocationOutcome.FAILED
-                    break
+                    return ServeResult(
+                        current, rounds=rounds, attempts=launched
+                    )
                 if hedge_evt is not None and hedge_evt.processed:
                     hedged_this_round = True
                     other = pick_failover(
@@ -1171,17 +1295,18 @@ class ClusterSimulator(ClusterScheduler):
                     continue
                 continue  # pragma: no cover - no other wake source
 
-            if outcome is not None:
-                break
-
-            # The whole round failed: retry (with backoff + failover)
-            # or give up.
+            # The whole round failed: give up, hand the retry back, or
+            # retry here after the backoff (failing over when allowed).
             backoff = self._retry_backoff(
-                round_failure, rounds, deadline_at, hs, ctx
+                round_failure, rounds, deadline_at, hs, ctx, may_retry
             )
-            if backoff is None:
-                outcome = InvocationOutcome.FAILED
-                break
+            if backoff is None or handoff:
+                return ServeResult(
+                    current,
+                    rounds=rounds,
+                    attempts=launched,
+                    handoff_us=backoff,
+                )
             self._flight_record(
                 current.host.host_id, "retry", function=function
             )
@@ -1202,38 +1327,6 @@ class ClusterSimulator(ClusterScheduler):
                             "failover",
                             host=current.host.host_id,
                         )
-
-        if outcome is InvocationOutcome.FAILED:
-            current.stats.failures += 1
-            winner_host = current
-            self._ctr_failed.inc()
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(),
-                "outcome",
-                outcome=outcome.value,
-                host=winner_host.host.host_id,
-                kind=(
-                    winner_kind.value
-                    if winner_kind is not None
-                    and outcome is not InvocationOutcome.FAILED
-                    else None
-                ),
-                attempts=launched,
-                latency_us=env.now - instant,
-            )
-        self._record_served(
-            ServedInvocation(
-                time_us=arrival.time_us,
-                function=function,
-                kind=winner_kind if outcome is not InvocationOutcome.FAILED
-                else None,
-                latency_us=env.now - instant,
-                host=winner_host.host.host_id,
-                outcome=outcome,
-                attempts=launched,
-            )
-        )
 
     def _shed_at_admission(
         self, hs: _HostState, function: str, ctx=None
@@ -1267,7 +1360,6 @@ class ClusterSimulator(ClusterScheduler):
         hs: _HostState,
         ctx=None,
         allowed: bool = True,
-        **detail: Any,
     ) -> Optional[float]:
         """Decide a failed round: the backoff (µs) to wait before the
         next round, or ``None`` to give up.
@@ -1276,7 +1368,7 @@ class ClusterSimulator(ClusterScheduler):
         is re-raised. A retry needs ``allowed``, no deadline-exceeded
         cause, the retry policy on, attempts left and a budget token,
         and its backoff must end before the deadline. A granted retry
-        is counted on ``hs``; ``detail`` extends its causal event."""
+        is counted on ``hs``."""
         causes = [
             c.cause if isinstance(c, Interrupt) else c
             for c in failure.causes
@@ -1304,7 +1396,6 @@ class ClusterSimulator(ClusterScheduler):
                 "retry",
                 round=rounds,
                 backoff_us=backoff,
-                **detail,
             )
         return backoff
 

@@ -3,20 +3,19 @@
 :class:`~repro.cluster.scheduler.ClusterSimulator` serves every host
 from a single event heap, so a 64-host run is a single-core marathon.
 This module shards that run across worker processes while keeping the
-result *bit-identical* for any shard count — the same contract PR 1
-proved for experiment cells (``--jobs``), pushed one level down into
-a single cluster run.
+result *bit-identical* for any shard count.
 
 Topology
 --------
 
 The unit of simulation is the **host**: each host gets its own
 :class:`~repro.sim.engine.Environment` (clock, heap, rng, registry)
-wrapped in a single-host :class:`_ShardHostSim`, which serves each
-dispatch through the single-heap path's attempt state machine (armed
-or not; an unarmed run is its degenerate case). A **shard** is a
-batch of host sims owned by one worker process; the parent process
-runs the **router**, which owns everything cross-host:
+wrapped in a single-host :class:`_ShardHostSim`. There is one serve
+chain: a host serves each dispatch through the single heap's
+:meth:`~repro.cluster.scheduler.ClusterSimulator._serve_robust`, and
+only the code that records the chain's result differs. A **shard**
+is a batch of host sims owned by one worker process; the parent
+process runs the **router**, which owns everything cross-host:
 
 * placement (:class:`~repro.cluster.placement.CountingPlacement` over
   :class:`~repro.cluster.placement.StaticHostView` snapshots, health-
@@ -27,7 +26,8 @@ runs the **router**, which owns everything cross-host:
   :func:`~repro.faults.rebalance_tokens`);
 * hedge dispatch (one cluster-wide
   :class:`~repro.faults.HedgeTracker`), retry failover, and final
-  :class:`~repro.fleet.scheduler.InvocationOutcome` assembly;
+  outcomes through the same rule as the single heap
+  (:func:`~repro.cluster.scheduler.settle_outcome`);
 * the shared-EBS tier's cross-host coupling, modelled as per-host
   replica volumes plus a barrier-exchanged *background demand*
   degradation (each window, a host's replica bandwidth is scaled by
@@ -42,9 +42,9 @@ iteration the router (1) routes every arrival and pending redispatch
 whose start time falls inside the window, (2) tells every shard to
 deliver its dispatches and advance its hosts to the window end
 (:meth:`~repro.sim.engine.Environment.advance_to`), (3) collects one
-**digest** per host — completions, failure records, sheds, load,
-health, idle-warm and snapshot sets, unspent budget tokens, shared-
-device demand — and (4) computes the next window's **updates**
+**digest** per host — how each chain ended (done, failed or shed),
+load, health, idle-warm and snapshot sets, unspent budget tokens,
+shared-device demand — and (4) computes the next window's **updates**
 (rebalanced tokens, cluster-published snapshots, background demand).
 Cross-host effects (failover retries, hedges, snapshot publication)
 therefore only take effect at window boundaries; within a window
@@ -63,7 +63,9 @@ trace, its fault sub-plan). The golden-parity test pins
 telemetry snapshot (:func:`~repro.metrics.exporters.merge_shard_snapshots`)
 across shard counts.
 
-Divergences from the single-heap path (documented, deterministic):
+Divergences from the single-heap path (documented, deterministic),
+all of them in what the router coordinates — on a one-host cluster
+the two families serve the same stream:
 
 * TTL evictions happen when a host next receives a dispatch, not at
   every cluster arrival;
@@ -75,9 +77,9 @@ Divergences from the single-heap path (documented, deterministic):
 * hedges fire at the first window boundary where the primary attempt
   has been in flight longer than the threshold, and failover retries
   redispatch at ``max(window end, failure + backoff)``;
-* causal-trace events: hosts emit attempt-level events from their own
-  serve paths (source = host index, drained in each window digest),
-  the router emits routing decisions (source ``-1``) — so the sharded
+* causal-trace events: hosts emit attempt-level events from the serve
+  chain (source = host index, drained in each window digest), the
+  router emits routing decisions (source ``-1``) — so the sharded
   trace shows ``route``/``redispatch`` where the single-heap trace
   shows ``dispatch``/``failover``. Within the sharded family the
   merged document is byte-identical for every shard count.
@@ -104,25 +106,20 @@ from repro.cluster.scheduler import (
     ClusterReport,
     ClusterSimulator,
     TIER_SHARED_EBS,
+    settle_outcome,
 )
 from repro.faults import (
-    DeadlineExceeded,
     FaultPlan,
     HedgeTracker,
     RetryBudget,
     rebalance_tokens,
 )
-from repro.fleet.scheduler import (
-    InvocationOutcome,
-    ServedInvocation,
-    StartKind,
-)
+from repro.fleet.scheduler import ServedInvocation, StartKind
 from repro.fleet.workload import Arrival, ArrivalTrace
 from repro.metrics.causal import CausalRecorder, ROUTER_SRC, TraceContext
 from repro.metrics.exporters import merge_shard_snapshots, registry_snapshot
 from repro.metrics.stats import Histogram
 from repro.metrics.telemetry import MetricsRegistry
-from repro.sim import AllFailed
 from repro.storage.device import Degradation
 from repro.storage.presets import EBS_IO2
 
@@ -202,11 +199,10 @@ class _Dispatch:
     """Router → host: serve (one more round of) an invocation."""
 
     inv_id: int
-    function: str
+    #: The original arrival; its time is the latency/deadline base.
+    arrival: Arrival
     #: When the host should begin (>= its current window start).
     start_us: float
-    #: The original arrival time — latency/deadline base.
-    arrival_us: float
     #: Rounds already consumed by earlier dispatches of this inv.
     attempt_base: int = 0
     #: Initial dispatch: counts the arrival, may be shed.
@@ -216,61 +212,44 @@ class _Dispatch:
 
 
 @dataclass(frozen=True)
-class _Completion:
-    """Host → router: one serve chain finished successfully."""
+class _Ended:
+    """Host → router: how one dispatch's serve chain ended. The digest
+    files it under ``done``, ``fail`` or ``shed``."""
 
     inv_id: int
     host_index: int
-    finish_us: float
-    kind: StartKind
-    #: Rounds consumed by the whole chain, ``attempt_base`` included.
-    rounds: int
-    #: Rounds this dispatch itself ran (> 1 only for local backoff
-    #: retries, i.e. when failover is off).
-    local_rounds: int
+    #: When the chain ended; for a shed, the arrival instant.
+    t_us: float
+    #: Rounds consumed by the whole chain, ``attempt_base`` included,
+    #: and by this dispatch alone (> 1 only for local backoff retries,
+    #: i.e. when failover is off).
+    rounds: int = 0
+    local_rounds: int = 0
+    #: Start kind of the winning attempt; ``None`` unless done.
+    kind: Optional[StartKind] = None
     #: Duration of the winning attempt (hedge-threshold input).
-    attempt_latency_us: float
-    is_hedge: bool
-
-
-@dataclass(frozen=True)
-class _Failure:
-    """Host → router: one serve chain gave up (or wants failover)."""
-
-    inv_id: int
-    host_index: int
-    fail_us: float
-    rounds: int
-    local_rounds: int
-    #: The host already spent a budget token and drew a backoff; the
-    #: router should redispatch on another host.
-    wants_retry: bool
-    backoff_us: float
-    is_hedge: bool
-
-
-@dataclass(frozen=True)
-class _Shed:
-    """Host → router: an initial dispatch was rejected at admission."""
-
-    inv_id: int
-    host_index: int
-    time_us: float
+    attempt_us: float = 0.0
+    is_hedge: bool = False
+    #: A retry the host granted (a budget token spent, a backoff
+    #: drawn): the router redispatches on another host after it.
+    backoff_us: Optional[float] = None
 
 
 class _ShardHostSim(ClusterSimulator):
-    """A single-host cluster sim driven window-by-window.
+    """A single-host cluster sim driven window by window.
 
-    Reuses the parent class's entire setup (:meth:`_begin_run`,
-    :meth:`_start_serving_epoch`), attempt body (:meth:`_attempt`),
-    admission-shed and retry decisions and fault-injector surface
-    verbatim; what changes is the driver: instead of iterating a
-    trace, the host executes router dispatches and reports digests at
-    window barriers.
+    Everything but the dispatch entry point is the parent class's:
+    setup (:meth:`_begin_run`, :meth:`_start_serving_epoch`), the
+    serve chain (:meth:`_serve_robust`) with its attempts,
+    admission-shed and retry decisions, and the fault-injector
+    surface. :meth:`_serve_dispatch` runs router dispatches through
+    that chain and reports their results at window barriers. Topology shapes the
+    chain: the sim owns no second host, so it never hedges (the router
+    does), and the cluster has hosts it does not own, so with failover
+    on it hands every granted retry back to the router.
     """
 
     def __init__(self, fleet, config: ClusterConfig, host_index: int):
-        total = config.num_hosts
         sub = dataclasses.replace(
             config,
             num_hosts=1,
@@ -278,12 +257,15 @@ class _ShardHostSim(ClusterSimulator):
         )
         super().__init__(fleet, sub)
         self.host_index = host_index
-        self.total_hosts = total
+        self.total_hosts = config.num_hosts
 
     # Hooks into the parent's setup -----------------------------------
 
     def _host_id(self, index: int) -> str:
         return f"host{self.host_index}"
+
+    def _cluster_size(self) -> int:
+        return self.total_hosts
 
     def _make_retry_budget(self, recovery) -> RetryBudget:
         return RetryBudget.partitioned(
@@ -316,19 +298,23 @@ class _ShardHostSim(ClusterSimulator):
         prep = env.process(self._prepare(), name="shard-prep")
         env.run(until=prep)
         self._epoch = self._start_serving_epoch()
-        self._out_completions: List[_Completion] = []
-        self._out_failures: List[_Failure] = []
-        self._out_sheds: List[_Shed] = []
+        self._ended: Dict[str, List[_Ended]] = _no_ends()
         self._shared_bytes_seen = 0
         self._bg_degradation: Optional[Degradation] = None
-        digest = self._digest(window_events=0)
+        digest = self._digest()
         digest["prep_us"] = self._epoch
         return digest
 
-    def apply_updates(self, updates: Dict[str, Any]) -> None:
-        """Barrier inputs for the coming window: cluster-published
-        snapshots, the rebalanced budget slice, and the shared tier's
-        background-demand factor."""
+    def window(
+        self,
+        until_us: float,
+        updates: Dict[str, Any],
+        dispatches: Sequence[_Dispatch],
+    ) -> Dict[str, Any]:
+        """One window: take the barrier inputs (cluster-published
+        snapshots, the rebalanced budget slice, the shared tier's
+        background-demand factor) and the window's dispatches, run the
+        host to the barrier, and digest what happened."""
         hs = self._hosts[0]
         published = updates.get("snapshots")
         if published:
@@ -346,38 +332,25 @@ class _ShardHostSim(ClusterSimulator):
                     bandwidth_factor=factor
                 )
                 self._shared_device.push_degradation(self._bg_degradation)
-
-    def submit(self, dispatch: _Dispatch) -> None:
-        self.env.process(
-            self._submission(dispatch),
-            name=f"dispatch:{dispatch.function}",
-        )
-
-    def advance_window(self, until_us: float) -> Dict[str, Any]:
-        """Run the host to the window barrier and digest what
-        happened."""
-        events = self.env.advance_to(self._epoch + until_us)
-        return self._digest(window_events=events)
+        for d in dispatches:
+            self.env.process(
+                self._serve_dispatch(d),
+                name=f"dispatch:{d.arrival.function}",
+            )
+        self.env.advance_to(self._epoch + until_us)
+        return self._digest()
 
     def finalize(self) -> Dict[str, Any]:
         """End of run: per-host report pieces + telemetry snapshot."""
         if self.monitor is not None:
             self.monitor.stop()
         report = self._finish_run()
-        hs = self._hosts[0]
         snapshot = registry_snapshot(self.registry)
         snapshot["virtual_time_us"] = self.env.now
         return {
-            "host_index": self.host_index,
-            "host_id": hs.host.host_id,
-            "stats": hs.stats,
-            "served": list(report.served),
-            "memory_samples_mb": list(report.memory_samples_mb),
-            "evictions": report.evictions,
-            "prep_us": report.prep_us,
+            "report": report,
             "snapshot": snapshot,
             "latency_histogram": self._latency_hist.histogram,
-            "fault_summary": dict(report.fault_summary),
             "durability_events": (
                 self.durability.drain_events()
                 if self.durability is not None
@@ -387,32 +360,24 @@ class _ShardHostSim(ClusterSimulator):
 
     # Internals --------------------------------------------------------
 
-    def _digest(self, window_events: int) -> Dict[str, Any]:
+    def _digest(self) -> Dict[str, Any]:
         hs = self._hosts[0]
-        completions = self._out_completions
-        failures = self._out_failures
-        sheds = self._out_sheds
-        self._out_completions = []
-        self._out_failures = []
-        self._out_sheds = []
+        out: Dict[str, Any] = self._ended
+        self._ended = _no_ends()
         shared_bytes = 0
         if self._shared_device is not None:
             total = self._shared_device.stats.bytes_read
             shared_bytes = max(0, total - self._shared_bytes_seen)
             self._shared_bytes_seen = total
-        out: Dict[str, Any] = {
-            "completions": completions,
-            "failures": failures,
-            "sheds": sheds,
-            "load": hs.load,
-            "healthy": hs.healthy,
-            "crashed": hs.crashed,
-            "idle_warm": tuple(hs.idle.idle_functions()),
-            "snapshots": tuple(sorted(hs.snapshots)),
-            "tokens": self._retry_budget.tokens,
-            "shared_bytes": shared_bytes,
-            "window_events": window_events,
-        }
+        out.update(
+            load=hs.load,
+            healthy=hs.healthy,
+            crashed=hs.crashed,
+            idle_warm=tuple(hs.idle.idle_functions()),
+            snapshots=tuple(sorted(hs.snapshots)),
+            tokens=self._retry_budget.tokens,
+            shared_bytes=shared_bytes,
+        )
         if self.durability is not None:
             # Quarantine-aware warm view: the router must not route a
             # snapshot start at a host whose every replica is bad.
@@ -426,7 +391,9 @@ class _ShardHostSim(ClusterSimulator):
             out["causal_events"] = self._causal_rec.drain()
         return out
 
-    def _submission(self, d: _Dispatch):
+    def _serve_dispatch(self, d: _Dispatch):
+        """Serve one router dispatch through the serve chain at its
+        start time and report how it ended."""
         env = self.env
         hs = self._hosts[0]
         at = self._epoch + d.start_us
@@ -444,153 +411,77 @@ class _ShardHostSim(ClusterSimulator):
                 host=hs.host.host_id,
                 hedge=d.is_hedge,
             )
-        yield from self._serve_sharded(hs, d, ctx)
-
-    def _serve_sharded(self, hs, d: _Dispatch, ctx=None):
-        """The serve chain for one dispatch: the parent class's
-        attempt, admission-shed and retry decisions, with everything
-        cross-host — failover, hedging, final outcomes — handed back
-        to the router as failure/completion records."""
-        env = self.env
-        recovery = self.config.recovery
-        function = d.function
-
         if d.is_hedge:
             hs.stats.hedges += 1
-        if d.is_initial and self._shed_at_admission(hs, function, ctx):
-            self._out_sheds.append(
-                _Shed(d.inv_id, self.host_index, d.arrival_us)
-            )
-            return
-
-        deadline_at = (
-            self._epoch + d.arrival_us + recovery.deadline_us
-            if recovery.deadline_us is not None
-            else None
+        instant = self._epoch + d.arrival.time_us
+        result = yield from self._serve_robust(
+            hs,
+            d.arrival,
+            instant,
+            ctx,
+            rounds=d.attempt_base,
+            admit=d.is_initial,
+            may_retry=not d.is_hedge,
         )
-        cross_host = bool(recovery.failover and self.total_hosts > 1)
-        arrival = Arrival(time_us=d.arrival_us, function=function)
-        rounds = d.attempt_base
-
-        def fail(backoff_us: Optional[float] = None) -> None:
-            """Hand the chain to the router: a failover request after
-            ``backoff_us``, or (``None``) a final failure."""
-            self._out_failures.append(
-                _Failure(
-                    d.inv_id,
-                    self.host_index,
-                    env.now - self._epoch,
-                    rounds,
-                    rounds - d.attempt_base,
-                    wants_retry=backoff_us is not None,
-                    backoff_us=backoff_us or 0.0,
-                    is_hedge=d.is_hedge,
-                )
+        if result.shed:
+            end, t_us = "shed", d.arrival.time_us
+        elif result.failed:
+            end, t_us = "fail", env.now - self._epoch
+        else:
+            end, t_us = "done", env.now - self._epoch
+            self._latency_hist.observe(env.now - instant)
+        self._ended[end].append(
+            _Ended(
+                d.inv_id,
+                self.host_index,
+                t_us,
+                result.rounds,
+                result.rounds - d.attempt_base,
+                result.kind,
+                result.attempt_us,
+                d.is_hedge,
+                result.handoff_us,
             )
+        )
 
-        pre_counted = True
-        while True:
-            rounds += 1
-            proc = self._launch_attempt(hs, arrival, pre_counted, ctx, rounds)
-            pre_counted = False
-            start = env.now
-            race = env.first_success([proc])
-            waits = [race]
-            deadline_evt = None
-            if deadline_at is not None:
-                deadline_evt = env.wake_at(max(deadline_at, env.now))
-                waits.append(deadline_evt)
-            try:
-                yield env.any_of(waits)
-            except AllFailed as exc:
-                round_failure = exc
-            else:
-                round_failure = None
 
-            if round_failure is None:
-                if race.triggered and race.ok:
-                    _, kind = race.value
-                    self._latency_hist.observe(
-                        env.now - (self._epoch + d.arrival_us)
-                    )
-                    self._out_completions.append(
-                        _Completion(
-                            inv_id=d.inv_id,
-                            host_index=self.host_index,
-                            finish_us=env.now - self._epoch,
-                            kind=kind,
-                            rounds=rounds,
-                            local_rounds=rounds - d.attempt_base,
-                            attempt_latency_us=env.now - start,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
-                    return
-                if deadline_evt is not None and deadline_evt.processed:
-                    if proc.is_alive:
-                        proc.interrupt(
-                            DeadlineExceeded(function, recovery.deadline_us)
-                        )
-                    if ctx is not None:
-                        ctx.emit(
-                            self._obs_now(),
-                            "deadline-exceeded",
-                            deadline_us=recovery.deadline_us,
-                        )
-                    fail()
-                    return
-                continue  # pragma: no cover - no other wake source
+def _no_ends() -> Dict[str, List[_Ended]]:
+    return {"done": [], "fail": [], "shed": []}
 
-            # Hedge attempts never retry; a cross-host retry goes back
-            # to the router, which picks the failover host and
-            # redispatches after the backoff.
-            backoff = self._retry_backoff(
-                round_failure,
-                rounds,
-                deadline_at,
-                hs,
-                ctx,
-                allowed=not d.is_hedge,
-                failover=cross_host,
+
+def _execute(sims: Sequence[_ShardHostSim], msg: Tuple) -> Dict[int, Any]:
+    """Run one router command (``begin``, ``window`` or ``finalize``)
+    on a batch of host sims: the per-window host loop, shared by the
+    in-process backend and every worker."""
+    cmd = msg[0]
+    if cmd == "begin":
+        _, plan, causal = msg
+        return {s.host_index: s.begin(plan, causal) for s in sims}
+    if cmd == "window":
+        _, until_us, updates, dispatches = msg
+        return {
+            s.host_index: s.window(
+                until_us,
+                updates.get(s.host_index, {}),
+                dispatches.get(s.host_index, ()),
             )
-            if backoff is None or cross_host:
-                fail(backoff)
-                return
-            if backoff > 0:
-                yield env.timeout(backoff)
+            for s in sims
+        }
+    return {s.host_index: s.finalize() for s in sims}
 
 
-def _build_host_sims(
-    fleet, config: ClusterConfig, host_indices: Sequence[int]
-) -> List[_ShardHostSim]:
-    return [_ShardHostSim(fleet, config, i) for i in host_indices]
-
-
-def _shard_worker_main(conn, fleet, config, host_indices, plan, causal):
+def _shard_worker_main(conn, fleet, config, host_indices):
     """Worker process: owns one shard's host sims, executes router
     commands from the pipe until told to stop. Module-level (and all
     arguments picklable) so the ``spawn`` start method works too."""
     try:
-        sims = _build_host_sims(fleet, config, host_indices)
+        sims = [_ShardHostSim(fleet, config, i) for i in host_indices]
         while True:
             msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "begin":
-                conn.send({s.host_index: s.begin(plan, causal) for s in sims})
-            elif cmd == "window":
-                _, until_us, updates, dispatches = msg
-                out = {}
-                for s in sims:
-                    s.apply_updates(updates.get(s.host_index, {}))
-                    for d in dispatches.get(s.host_index, ()):
-                        s.submit(d)
-                    out[s.host_index] = s.advance_window(until_us)
-                conn.send(out)
-            elif cmd == "finalize":
-                conn.send({s.host_index: s.finalize() for s in sims})
-            elif cmd == "stop":
+            if msg[0] == "stop":
                 conn.close()
                 return
+            conn.send(_execute(sims, msg))
     except BaseException:
         try:
             conn.send({"__error__": traceback.format_exc()})
@@ -604,30 +495,13 @@ class _SerialBackend:
     cannot tell the backends apart, which is the determinism
     argument in one sentence."""
 
-    def __init__(self, fleet, config, plan, causal=False):
-        self._sims = _build_host_sims(
-            fleet, config, range(config.num_hosts)
-        )
-        self._plan = plan
-        self._causal = causal
+    def __init__(self, fleet, config):
+        self._sims = [
+            _ShardHostSim(fleet, config, i) for i in range(config.num_hosts)
+        ]
 
-    def begin(self):
-        return {
-            s.host_index: s.begin(self._plan, self._causal)
-            for s in self._sims
-        }
-
-    def window(self, until_us, updates, dispatches):
-        out = {}
-        for s in self._sims:
-            s.apply_updates(updates.get(s.host_index, {}))
-            for d in dispatches.get(s.host_index, ()):
-                s.submit(d)
-            out[s.host_index] = s.advance_window(until_us)
-        return out
-
-    def finalize(self):
-        return {s.host_index: s.finalize() for s in self._sims}
+    def send(self, *msg):
+        return _execute(self._sims, msg)
 
     def close(self):
         pass
@@ -638,7 +512,7 @@ class _ProcessBackend:
     preferred with a ``spawn`` fallback (same discipline as
     ``experiments.runner.parallel_map``)."""
 
-    def __init__(self, fleet, config, plan, groups, causal=False):
+    def __init__(self, fleet, config, groups):
         ctx = None
         for method in ("fork", "spawn"):
             try:
@@ -655,7 +529,7 @@ class _ProcessBackend:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(child_conn, fleet, config, group, plan, causal),
+                args=(child_conn, fleet, config, group),
                 daemon=True,
             )
             proc.start()
@@ -663,7 +537,23 @@ class _ProcessBackend:
             self._conns.append(parent_conn)
             self._procs.append(proc)
 
-    def _collect(self):
+    def send(self, *msg):
+        """Send ``msg`` to every worker (a window's per-host updates
+        and dispatches only to the worker owning those hosts) and
+        merge the replies."""
+        for group, conn in zip(self._groups, self._conns):
+            if msg[0] == "window":
+                _, until_us, updates, dispatches = msg
+                conn.send(
+                    (
+                        "window",
+                        until_us,
+                        {i: updates[i] for i in group if i in updates},
+                        {i: dispatches[i] for i in group if i in dispatches},
+                    )
+                )
+            else:
+                conn.send(msg)
         merged: Dict[int, Any] = {}
         for conn in self._conns:
             reply = conn.recv()
@@ -674,28 +564,6 @@ class _ProcessBackend:
                 )
             merged.update(reply)
         return merged
-
-    def begin(self):
-        for conn in self._conns:
-            conn.send(("begin",))
-        return self._collect()
-
-    def window(self, until_us, updates, dispatches):
-        for group, conn in zip(self._groups, self._conns):
-            conn.send(
-                (
-                    "window",
-                    until_us,
-                    {i: updates[i] for i in group if i in updates},
-                    {i: dispatches[i] for i in group if i in dispatches},
-                )
-            )
-        return self._collect()
-
-    def finalize(self):
-        for conn in self._conns:
-            conn.send(("finalize",))
-        return self._collect()
 
     def close(self):
         for conn in self._conns:
@@ -714,8 +582,7 @@ class _ProcessBackend:
 class _InvState:
     """Router bookkeeping for one invocation."""
 
-    function: str
-    arrival_us: float
+    arrival: Arrival
     #: Dispatches in flight (primary + hedge can overlap).
     outstanding: int = 0
     #: Attempt launches so far (the report's ``attempts`` field).
@@ -727,7 +594,7 @@ class _InvState:
     primary_start_us: float = 0.0
     #: Latest failover-requesting failure, held until every
     #: outstanding attempt of the inv has resolved.
-    stashed_retry: Optional[_Failure] = None
+    stashed_retry: Optional[_Ended] = None
 
 
 class ShardedClusterSimulator:
@@ -761,7 +628,6 @@ class ShardedClusterSimulator:
         #: Cross-shard merged durability events, sorted
         #: ``(t_us, host, seq)`` — byte-identical across shard counts.
         self.durability_events: List[Dict[str, Any]] = []
-        self._durability_events: List[Dict[str, Any]] = []
 
     def run(
         self,
@@ -776,8 +642,34 @@ class ShardedClusterSimulator:
         invariant to the shard count."""
         config = self.config
         H = config.num_hosts
-        registry = MetricsRegistry()
-        self.registry = registry
+        if fault_plan is not None:
+            fault_plan.check_topology(
+                [f"host{i}" for i in range(H)], [f.name for f in self.fleet]
+            )
+        if self.shards == 1:
+            backend = _SerialBackend(self.fleet, config)
+        else:
+            backend = _ProcessBackend(
+                self.fleet, config, partition_hosts(H, self.shards)
+            )
+        try:
+            return self._run_router(trace, fault_plan, backend, causal)
+        finally:
+            backend.close()
+
+    # -- the router ----------------------------------------------------
+
+    def _run_router(
+        self,
+        trace: ArrivalTrace,
+        fault_plan: Optional[FaultPlan],
+        backend,
+        causal,
+    ) -> ClusterReport:
+        config = self.config
+        H = config.num_hosts
+        registry = self.registry = MetricsRegistry()
+        self.durability_events = []
         failover = HealthFiltered(make_placement(config.placement))
         placement = CountingPlacement(
             failover, registry, [f"host{i}" for i in range(H)]
@@ -789,67 +681,21 @@ class ShardedClusterSimulator:
         registry.pull_counter("hedge.fired", lambda: tracker.fired)
         registry.pull_counter("hedge.won", lambda: tracker.won)
         registry.pull_counter("hedge.cancelled", lambda: tracker.cancelled)
-
-        if self.shards == 1:
-            backend = _SerialBackend(
-                self.fleet, config, fault_plan, causal is not None
-            )
-        else:
-            backend = _ProcessBackend(
-                self.fleet,
-                config,
-                fault_plan,
-                partition_hosts(H, self.shards),
-                causal is not None,
-            )
-        try:
-            return self._run_router(
-                trace,
-                backend,
-                placement,
-                failover,
-                tracker,
-                ctr_windows,
-                ctr_redispatch,
-                ctr_failed,
-                causal,
-            )
-        finally:
-            backend.close()
-
-    # -- the router ----------------------------------------------------
-
-    def _run_router(
-        self,
-        trace: ArrivalTrace,
-        backend,
-        placement,
-        failover,
-        tracker: HedgeTracker,
-        ctr_windows,
-        ctr_redispatch,
-        ctr_failed,
-        causal=None,
-    ) -> ClusterReport:
-        config = self.config
-        H = config.num_hosts
         W = self.window_us
         shared = config.snapshot_tier == TIER_SHARED_EBS
         #: Shared-tier replica capacity per window, bytes.
         window_capacity = EBS_IO2.bandwidth_bytes_per_us * W
         crec = causal.recorder(ROUTER_SRC) if causal is not None else None
 
-        begin = backend.begin()
+        begin = backend.send("begin", fault_plan, causal is not None)
         views = [StaticHostView(index=i) for i in range(H)]
         tokens = [0.0] * H
         shared_bytes = [0] * H
         published: set = set()
         for i in range(H):
             self._apply_digest(
-                views[i], begin[i], tokens, shared_bytes, published, i
+                views[i], begin[i], tokens, shared_bytes, published, i, causal
             )
-            if causal is not None:
-                causal.extend(begin[i].get("causal_events", ()))
         prep_us = max(begin[i]["prep_us"] for i in range(H))
 
         arrivals = trace.arrivals
@@ -892,9 +738,7 @@ class ShardedClusterSimulator:
                 ai += 1
                 inv_id = next_inv
                 next_inv += 1
-                invs[inv_id] = _InvState(
-                    function=a.function, arrival_us=a.time_us
-                )
+                invs[inv_id] = _InvState(arrival=a)
                 if causal is not None:
                     causal.register(inv_id, a.function, a.time_us)
                 heapq.heappush(
@@ -903,12 +747,7 @@ class ShardedClusterSimulator:
                         a.time_us,
                         seq,
                         -1,  # host chosen at dispatch time
-                        _Dispatch(
-                            inv_id=inv_id,
-                            function=a.function,
-                            start_us=a.time_us,
-                            arrival_us=a.time_us,
-                        ),
+                        _Dispatch(inv_id, a, a.time_us),
                     ),
                 )
                 seq += 1
@@ -916,7 +755,7 @@ class ShardedClusterSimulator:
             while heap and heap[0][0] < w_end:
                 _, _, host, d = heapq.heappop(heap)
                 if host < 0:
-                    host = placement.choose(views, d.function)
+                    host = placement.choose(views, d.arrival.function)
                 if crec is not None:
                     crec.emit(
                         d.inv_id,
@@ -937,21 +776,17 @@ class ShardedClusterSimulator:
                 dispatches.setdefault(host, []).append(d)
 
             # 2. barrier: deliver, advance every host to w_end, digest.
-            digests = backend.window(w_end, updates, dispatches)
+            digests = backend.send("window", w_end, updates, dispatches)
             events = []
             for i in range(H):
                 digest = digests[i]
                 self._apply_digest(
-                    views[i], digest, tokens, shared_bytes, published, i
+                    views[i], digest, tokens, shared_bytes, published, i,
+                    causal,
                 )
-                if causal is not None:
-                    causal.extend(digest.get("causal_events", ()))
-                for j, c in enumerate(digest["completions"]):
-                    events.append((c.finish_us, i, j, "done", c))
-                for j, f in enumerate(digest["failures"]):
-                    events.append((f.fail_us, i, j, "fail", f))
-                for j, s in enumerate(digest["sheds"]):
-                    events.append((s.time_us, i, j, "shed", s))
+                for end in ("done", "fail", "shed"):
+                    for j, rec in enumerate(digest[end]):
+                        events.append((rec.t_us, i, j, end, rec))
             events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
 
             # 3. resolve outcomes / schedule redispatches.
@@ -959,72 +794,55 @@ class ShardedClusterSimulator:
                 inflight_total -= 1
                 meta = invs[rec.inv_id]
                 meta.outstanding -= 1
+                host = f"host{host_idx}"
+                ctx = None
+                if crec is not None:
+                    ctx = TraceContext(crec, rec.inv_id)
                 if etype == "shed":
                     meta.done = True
                     served_router.append(
-                        ServedInvocation(
-                            time_us=meta.arrival_us,
-                            function=meta.function,
-                            kind=None,
-                            latency_us=0.0,
-                            host=f"host{host_idx}",
-                            outcome=InvocationOutcome.SHED,
-                            attempts=0,
+                        settle_outcome(
+                            ctx, rec.t_us, meta.arrival, host, 0.0, 0,
+                            shed=True,
                         )
                     )
                     continue
+                meta.attempts += rec.local_rounds - 1
                 if etype == "done":
-                    meta.attempts += rec.local_rounds - 1
                     if meta.done:
                         # A hedge race already resolved; this is the
                         # loser completing late.
                         tracker.cancelled += 1
-                        if crec is not None:
-                            crec.emit(
-                                rec.inv_id,
-                                rec.finish_us,
+                        if ctx is not None:
+                            ctx.emit(
+                                rec.t_us,
                                 "hedge-cancelled",
                                 hedge=rec.is_hedge,
-                                host=f"host{host_idx}",
+                                host=host,
                             )
                         continue
                     meta.done = True
-                    tracker.record(rec.attempt_latency_us)
+                    tracker.record(rec.attempt_us)
                     if rec.is_hedge:
                         tracker.won += 1
-                        outcome = InvocationOutcome.HEDGE_WON
-                    elif rec.rounds > 1:
-                        outcome = InvocationOutcome.RETRIED
-                    else:
-                        outcome = InvocationOutcome.OK
-                    if crec is not None:
-                        crec.emit(
-                            rec.inv_id,
-                            rec.finish_us,
-                            "outcome",
-                            attempts=meta.attempts,
-                            host=f"host{host_idx}",
-                            kind=rec.kind.value,
-                            latency_us=rec.finish_us - meta.arrival_us,
-                            outcome=outcome.value,
-                        )
                     served_router.append(
-                        ServedInvocation(
-                            time_us=meta.arrival_us,
-                            function=meta.function,
+                        settle_outcome(
+                            ctx,
+                            rec.t_us,
+                            meta.arrival,
+                            host,
+                            rec.t_us - meta.arrival.time_us,
+                            meta.attempts,
                             kind=rec.kind,
-                            latency_us=rec.finish_us - meta.arrival_us,
-                            host=f"host{host_idx}",
-                            outcome=outcome,
-                            attempts=meta.attempts,
+                            rounds=rec.rounds,
+                            hedge_won=rec.is_hedge,
                         )
                     )
                     continue
                 # etype == "fail"
-                meta.attempts += rec.local_rounds - 1
                 if meta.done:
                     continue
-                if rec.wants_retry:
+                if rec.backoff_us is not None:
                     meta.stashed_retry = rec
                 if meta.outstanding > 0:
                     continue  # a hedge twin is still running
@@ -1032,7 +850,10 @@ class ShardedClusterSimulator:
                 meta.stashed_retry = None
                 if retry_rec is not None:
                     view = pick_failover(
-                        views, retry_rec.host_index, meta.function, failover
+                        views,
+                        retry_rec.host_index,
+                        meta.arrival.function,
+                        failover,
                     )
                     target = (
                         view.index
@@ -1041,12 +862,11 @@ class ShardedClusterSimulator:
                     )
                     start = max(
                         w_end,
-                        retry_rec.fail_us + retry_rec.backoff_us,
+                        retry_rec.t_us + retry_rec.backoff_us,
                     )
                     ctr_redispatch.value += 1
-                    if crec is not None:
-                        crec.emit(
-                            rec.inv_id,
+                    if ctx is not None:
+                        ctx.emit(
                             start,
                             "redispatch",
                             backoff_us=retry_rec.backoff_us,
@@ -1060,10 +880,9 @@ class ShardedClusterSimulator:
                             seq,
                             target,
                             _Dispatch(
-                                inv_id=rec.inv_id,
-                                function=meta.function,
-                                start_us=start,
-                                arrival_us=meta.arrival_us,
+                                rec.inv_id,
+                                meta.arrival,
+                                start,
                                 attempt_base=retry_rec.rounds,
                                 is_initial=False,
                             ),
@@ -1076,26 +895,14 @@ class ShardedClusterSimulator:
                 failed_by_host[host_idx] = (
                     failed_by_host.get(host_idx, 0) + 1
                 )
-                if crec is not None:
-                    crec.emit(
-                        rec.inv_id,
-                        rec.fail_us,
-                        "outcome",
-                        attempts=meta.attempts,
-                        host=f"host{host_idx}",
-                        kind=None,
-                        latency_us=rec.fail_us - meta.arrival_us,
-                        outcome=InvocationOutcome.FAILED.value,
-                    )
                 served_router.append(
-                    ServedInvocation(
-                        time_us=meta.arrival_us,
-                        function=meta.function,
-                        kind=None,
-                        latency_us=rec.fail_us - meta.arrival_us,
-                        host=f"host{host_idx}",
-                        outcome=InvocationOutcome.FAILED,
-                        attempts=meta.attempts,
+                    settle_outcome(
+                        ctx,
+                        rec.t_us,
+                        meta.arrival,
+                        host,
+                        rec.t_us - meta.arrival.time_us,
+                        meta.attempts,
                     )
                 )
 
@@ -1118,11 +925,14 @@ class ShardedClusterSimulator:
                         if fire_at > w_end:
                             continue
                         if deadline is not None and (
-                            w_end >= meta.arrival_us + deadline
+                            w_end >= meta.arrival.time_us + deadline
                         ):
                             continue
                         view = pick_failover(
-                            views, meta.primary_host, meta.function, failover
+                            views,
+                            meta.primary_host,
+                            meta.arrival.function,
+                            failover,
                         )
                         if view is None:
                             continue
@@ -1144,10 +954,9 @@ class ShardedClusterSimulator:
                                 seq,
                                 target,
                                 _Dispatch(
-                                    inv_id=inv_id,
-                                    function=meta.function,
-                                    start_us=w_end,
-                                    arrival_us=meta.arrival_us,
+                                    inv_id,
+                                    meta.arrival,
+                                    w_end,
                                     is_initial=False,
                                     is_hedge=True,
                                 ),
@@ -1186,7 +995,7 @@ class ShardedClusterSimulator:
         )
 
     def _apply_digest(
-        self, view, digest, tokens, shared_bytes, published, index
+        self, view, digest, tokens, shared_bytes, published, index, causal
     ) -> None:
         view.base_load = digest["load"]
         view.projected = 0
@@ -1203,15 +1012,17 @@ class ShardedClusterSimulator:
         shared_bytes[index] = digest["shared_bytes"]
         if self.config.snapshot_tier == TIER_SHARED_EBS:
             published.update(digest["snapshots"])
-        self._durability_events.extend(
+        self.durability_events.extend(
             digest.get("durability_events", ())
         )
+        if causal is not None:
+            causal.extend(digest.get("causal_events", ()))
 
     def _assemble(
         self, backend, served_router, failed_by_host, prep_us
     ) -> ClusterReport:
         config = self.config
-        finals = backend.finalize()
+        finals = backend.send("finalize")
         report = ClusterReport(
             placement=config.placement,
             snapshot_tier=config.snapshot_tier,
@@ -1221,26 +1032,24 @@ class ShardedClusterSimulator:
         histograms = []
         for i in range(config.num_hosts):
             fin = finals[i]
-            stats = fin["stats"]
-            stats.failures += failed_by_host.get(i, 0)
-            report.host_stats[fin["host_id"]] = stats
-            report.served.extend(fin["served"])
-            report.memory_samples_mb.extend(fin["memory_samples_mb"])
-            report.evictions += fin["evictions"]
+            part = fin["report"]
+            for host_id, stats in part.host_stats.items():
+                stats.failures += failed_by_host.get(i, 0)
+                report.host_stats[host_id] = stats
+            report.served.extend(part.served)
+            report.memory_samples_mb.extend(part.memory_samples_mb)
+            report.evictions += part.evictions
             snapshots.append(fin["snapshot"])
             histograms.append(fin["latency_histogram"])
-            for key, value in fin.get("fault_summary", {}).items():
+            for key, value in part.fault_summary.items():
                 if isinstance(value, (int, float)):
                     report.fault_summary[key] = (
                         report.fault_summary.get(key, 0) + value
                     )
-            self._durability_events.extend(
-                fin.get("durability_events", ())
-            )
-        self._durability_events.sort(
+            self.durability_events.extend(fin["durability_events"])
+        self.durability_events.sort(
             key=lambda e: (e["t_us"], e["host"], e["seq"])
         )
-        self.durability_events = self._durability_events
         report.served.extend(served_router)
         report.served.sort(key=lambda s: (s.time_us, s.function))
         router_snapshot = registry_snapshot(self.registry)

@@ -20,7 +20,7 @@ Keeping the plan declarative buys three things:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 #: Device-fault scope selecting every host's primary device.
 SCOPE_ALL = "*"
@@ -171,6 +171,41 @@ class FaultPlan:
             + len(self.corruptions)
             + len(self.fail_slows)
         )
+
+    def check_topology(
+        self, hosts: Iterable[str], functions: Iterable[str]
+    ) -> None:
+        """Raise ``ValueError`` naming every entry that points outside
+        the cluster: a crash, corruption or fail-slow on a host not in
+        ``hosts``, a device-fault scope that is neither such a host
+        nor ``*``/``shared``, a corruption of a function not in
+        ``functions``. Run it before the plan touches any state."""
+        hosts = set(hosts)
+        functions = set(functions)
+        bad = [
+            f"device-fault scope {f.scope!r}"
+            for f in self.device_faults
+            if f.scope not in hosts
+            and f.scope not in (SCOPE_ALL, SCOPE_SHARED)
+        ]
+        for what, entries in (
+            ("host crash", self.host_crashes),
+            ("corruption", self.corruptions),
+            ("fail-slow", self.fail_slows),
+        ):
+            bad += [
+                f"{what} on {e.host!r}" for e in entries if e.host not in hosts
+            ]
+        bad += [
+            f"corruption of {c.function!r}"
+            for c in self.corruptions
+            if c.function not in functions
+        ]
+        if bad:
+            raise ValueError(
+                f"fault plan names what the cluster lacks: {', '.join(bad)} "
+                f"(hosts: {', '.join(sorted(hosts))})"
+            )
 
     # -- serialisation -------------------------------------------------
 

@@ -30,6 +30,7 @@ are skipped by the CLI)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple, Type
 
@@ -64,8 +65,8 @@ class AdvanceCommand(Command):
     name = "advance"
 
     def __post_init__(self):
-        if self.ms < 0:
-            raise CommandError("advance duration must be >= 0")
+        if not (math.isfinite(self.ms) and self.ms >= 0):
+            raise CommandError("advance duration must be finite and >= 0")
 
     def args_dict(self) -> Dict[str, Any]:
         return {"ms": self.ms}
@@ -79,6 +80,13 @@ class InjectCommand(Command):
 
     arrivals: Tuple[Tuple[float, str], ...] = ()
     name = "inject"
+
+    def __post_init__(self):
+        for t, fn in self.arrivals:
+            if not math.isfinite(t):
+                raise CommandError(
+                    f"inject time must be finite, got {t!r} for {fn!r}"
+                )
 
     @classmethod
     def from_arrivals(cls, arrivals) -> "InjectCommand":
@@ -150,8 +158,8 @@ class SetKeepaliveCommand(Command):
     name = "set-keepalive"
 
     def __post_init__(self):
-        if self.ttl_ms < 0:
-            raise CommandError("keep-alive TTL must be >= 0")
+        if not (math.isfinite(self.ttl_ms) and self.ttl_ms >= 0):
+            raise CommandError("keep-alive TTL must be finite and >= 0")
 
     def args_dict(self) -> Dict[str, Any]:
         return {"ttl_ms": self.ttl_ms}

@@ -415,9 +415,10 @@ class ClusterService:
 
     def _validate(self, command: Command) -> None:
         """Reject a command that names a function outside the fleet or
-        a host the cluster does not have. Runs before any state
-        changes (prep included), so a rejected command leaves nothing
-        to journal and the service keeps serving."""
+        a host the cluster does not have, or a fault plan that does.
+        Runs before any state changes (prep included), so a rejected
+        command leaves nothing to journal and the service keeps
+        serving."""
         sim = self.simulator
         if isinstance(command, InjectCommand):
             unknown = sorted(
@@ -433,6 +434,13 @@ class ClusterService:
                     f"{command.name}: unknown host {command.host!r}; "
                     f"known: {', '.join(sim._host_by_id)}"
                 )
+        elif isinstance(command, ArmCommand):
+            try:
+                FaultPlan.from_dict(command.plan).check_topology(
+                    sim._host_by_id, sim._profiles
+                )
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ServiceError(f"arm: {exc}") from None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -604,6 +612,15 @@ def build_service(
         if spec["slo"] is not None
         else None
     )
+    if fault_plan is not None:
+        # Rejected before the journal gets a header.
+        try:
+            fault_plan.check_topology(
+                [simulator._host_id(i) for i in range(config.num_hosts)],
+                simulator._profiles,
+            )
+        except ValueError as exc:
+            raise ServiceError(f"spec: {exc}") from None
     if journal is not None:
         journal.write_header(spec)
     return ClusterService(

@@ -220,3 +220,23 @@ def test_cluster_report_out_writes_serving_report(tmp_path, capsys):
         entry["outcome"] == "ok" for entry in doc["invocations"]
     )
     assert set(doc["host_failures"]) == {"host0", "host1"}
+
+
+def test_serve_replay_of_a_torn_journal_gives_a_verdict(tmp_path, capsys):
+    from repro.service import JournalWriter, build_service, parse_command
+
+    path = tmp_path / "torn.journal"
+    journal = JournalWriter(str(path))
+    service = build_service(
+        {"functions": 2, "hosts": 1, "source": {"kind": "none"}},
+        journal=journal,
+    )
+    service.execute(parse_command("inject 1000:fn0000 2000:fn0001"))
+    journal.close()
+    text = path.read_text()
+    # Cut the last entry off mid-line, as a crash during append would.
+    path.write_text(text[: len(text) - 10])
+
+    assert main(["serve", "--replay", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"replay FAILED: unreadable journal ({path}:2: bad entry" in out

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterConfig,
+    ClusterSimulator,
     ShardedClusterSimulator,
     TIER_SHARED_EBS,
     partition_hosts,
@@ -243,6 +244,75 @@ def test_cross_shard_fault_parity_over_seeds(seed):
     _, r1 = run_sharded(fleet, config, trace, 1, fault_plan=plan)
     _, r4 = run_sharded(fleet, config, trace, 4, fault_plan=plan)
     assert served_tuples(r4) == served_tuples(r1)
+
+
+# -- one serve chain, two families --------------------------------------
+
+
+BROWNOUT = FaultPlan(
+    device_faults=(
+        DeviceFault(
+            scope="*",
+            start_us=0.3 * SECOND,
+            duration_us=0.8 * SECOND,
+            latency_factor=8.0,
+            bandwidth_factor=0.2,
+        ),
+    )
+)
+
+
+@pytest.mark.parametrize("plan", [None, BROWNOUT], ids=["unarmed", "brownout"])
+def test_one_host_cluster_serves_the_same_stream_in_both_families(plan):
+    """On one host the window router has nothing to coordinate: the
+    single heap and the sharded family serve the same stream through
+    the same chain. Latency is ``now - instant`` on one side and
+    ``finish - arrival`` on the other, equal up to rounding."""
+    fleet = fleet_of("f0", "f1")
+    trace = burst_trace(14, spacing_us=150_000.0, functions=("f0", "f1"))
+    # No keep-alive: every start restores a snapshot from the device.
+    config = ClusterConfig(
+        num_hosts=1,
+        seed=5,
+        keep_alive_ttl_us=0.0,
+        assume_snapshots_exist=True,
+    )
+    single = ClusterSimulator(fleet, config).run(trace, fault_plan=plan)
+    _, sharded = run_sharded(fleet, config, trace, 1, fault_plan=plan)
+    assert len(single.served) == len(sharded.served) == 14
+    if plan is not None:
+        # The brownout must slow some restores down for this to count.
+        _, calm = run_sharded(fleet, config, trace, 1)
+        assert latency_checksum(sharded) > latency_checksum(calm)
+    def exact(s):
+        return (s.time_us, s.function, s.kind, s.outcome, s.attempts, s.host)
+
+    for a, b in zip(single.served, sharded.served):
+        assert exact(a) == exact(b)
+        assert a.latency_us == pytest.approx(b.latency_us, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"host_crashes": [{"host": "host9", "at_us": 1}]},
+        {"device_faults": [{"scope": "host9", "start_us": 1}]},
+        {"fail_slows": [{"host": "host9", "start_us": 1}]},
+        {"corruptions": [{"host": "host0", "function": "nope", "at_us": 1}]},
+    ],
+    ids=["crash", "device-scope", "fail-slow", "corrupt-function"],
+)
+def test_fault_plan_outside_the_topology_is_rejected_by_both_families(doc):
+    plan = FaultPlan.from_dict(doc)
+    fleet = fleet_of("f0", "f1")
+    trace = burst_trace(2, functions=("f0", "f1"))
+    config = ClusterConfig(num_hosts=2, seed=1)
+    with pytest.raises(ValueError, match="fault plan names"):
+        ClusterSimulator(fleet, config).run(trace, fault_plan=plan)
+    with pytest.raises(ValueError, match="fault plan names"):
+        ShardedClusterSimulator(fleet, config, shards=2).run(
+            trace, fault_plan=plan
+        )
 
 
 # -- protocol pieces ---------------------------------------------------

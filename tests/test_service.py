@@ -369,7 +369,16 @@ def test_journal_replay_detects_divergence(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    ["inject 2000000:nosuchfn", "drain-host host9", "undrain-host host9"],
+    [
+        "inject 2000000:nosuchfn",
+        "drain-host host9",
+        "undrain-host host9",
+        'arm {"host_crashes":[{"host":"host9","at_us":1}]}',
+        'arm {"device_faults":[{"scope":"host9","start_us":1}]}',
+        'arm {"fail_slows":[{"host":"host9","start_us":1}]}',
+        'arm {"corruptions":[{"host":"host0","function":"nosuchfn",'
+        '"at_us":1}]}',
+    ],
 )
 def test_unknown_names_are_rejected_and_the_journal_replays(tmp_path, bad):
     path = tmp_path / "svc.journal"
@@ -405,3 +414,47 @@ def test_unknown_names_are_rejected_and_the_journal_replays(tmp_path, bad):
     assert outcome.ok, outcome.mismatches
     assert outcome.entries == 5
     assert _checksum(outcome.service.report) == _checksum(service.report)
+
+
+def test_spec_fault_plan_naming_an_unknown_host_writes_no_journal(tmp_path):
+    path = tmp_path / "svc.journal"
+    with pytest.raises(ServiceError, match="host9"):
+        build_service(
+            {
+                "functions": 2,
+                "hosts": 2,
+                "fault_plan": {
+                    "host_crashes": [{"host": "host9", "at_us": 1}]
+                },
+            },
+            journal=JournalWriter(str(path)),
+        )
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "advance nan",
+        "advance inf",
+        "advance -inf",
+        "inject nan:fn0000",
+        "inject inf:fn0000",
+        "set-keepalive nan",
+        "set-keepalive inf",
+    ],
+)
+def test_non_finite_numbers_are_rejected(line):
+    with pytest.raises(CommandError, match="finite"):
+        parse_command(line)
+    # The journal's wire form goes through the same check on replay.
+    head, _, value = line.partition(" ")
+    number = float(value.split(":")[0])
+    args = {
+        "advance": {"ms": number},
+        "set-keepalive": {"ttl_ms": number},
+        "inject": {"arrivals": [[number, "fn0000"]]},
+    }[head]
+    doc = {"cmd": head, "args": args}
+    with pytest.raises(CommandError, match="finite"):
+        command_from_dict(doc)
