@@ -39,7 +39,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core import FaaSnapPlatform, Policy
 from repro.metrics import render_table
@@ -297,6 +297,41 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A malformed flag value: :func:`main` prints it and exits 2, as
+    for an argparse usage error."""
+
+
+def _json_flag(flag: str, text: str, build: Callable[[Any], Any]) -> Any:
+    """``build(json.loads(text))``; a JSON decode error or a
+    ``ValueError`` from ``build`` is a :class:`UsageError` naming
+    ``flag``."""
+    try:
+        return build(json.loads(text))
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _durability_doc(doc: Any) -> Any:
+    """A checked ``--durability`` document. Passing the flag implies
+    enabling, so ``enabled`` defaults to true."""
+    from repro.faults import DurabilityPolicy
+
+    if isinstance(doc, dict):
+        doc = dict(doc)
+        doc.setdefault("enabled", True)
+    DurabilityPolicy.from_dict(doc)
+    return doc
+
+
+def _slo_doc(doc: Any) -> Any:
+    """A checked ``--slo`` document."""
+    from repro.metrics.slo import SloMonitor
+
+    SloMonitor.from_dict(doc)
+    return doc
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, ClusterSimulator
     from repro.fleet import StartKind, generate_arrivals, synthesize_fleet
@@ -311,9 +346,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.durability is not None:
         from repro.faults import DurabilityPolicy
 
-        doc = json.loads(args.durability)
-        doc.setdefault("enabled", True)
-        durability = DurabilityPolicy.from_dict(doc)
+        durability = DurabilityPolicy.from_dict(
+            _json_flag("--durability", args.durability, _durability_doc)
+        )
     config = ClusterConfig(
         num_hosts=args.hosts,
         placement=args.placement,
@@ -340,7 +375,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.slo is not None:
         from repro.metrics.slo import SloMonitor
 
-        slo = SloMonitor.from_dict(json.loads(args.slo))
+        slo = _json_flag("--slo", args.slo, SloMonitor.from_dict)
     flight = None
     if args.flight_out:
         from repro.metrics.flight import FlightRecorder
@@ -592,15 +627,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else None
         ),
         "source": source_stanza,
-        "slo": json.loads(args.slo) if args.slo is not None else None,
+        "slo": (
+            _json_flag("--slo", args.slo, _slo_doc)
+            if args.slo is not None
+            else None
+        ),
     }
     if args.durability is not None:
-        # Same convention as `cluster --durability`: passing the flag
-        # implies enabling. The raw dict (not the policy) goes in the
-        # spec so the journal header stays JSON and replays rebuild it.
-        durability_doc = json.loads(args.durability)
-        durability_doc.setdefault("enabled", True)
-        spec["durability"] = durability_doc
+        # The raw dict (not the policy) goes in the spec so the
+        # journal header stays JSON and replays rebuild it.
+        spec["durability"] = _json_flag(
+            "--durability", args.durability, _durability_doc
+        )
     causal = None
     if args.causal_trace:
         from repro.metrics.causal import CausalTracer
@@ -718,7 +756,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     recovery = DISABLED_RECOVERY if args.no_recovery else None
     slo_config = None
     if args.slo is not None:
-        slo_config = json.loads(args.slo)
+        slo_config = _json_flag("--slo", args.slo, _slo_doc)
     elif args.require_alert:
         slo_config = {}
     status = 0
@@ -1324,7 +1362,11 @@ def _add_telemetry_outputs(parser: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,6 +36,7 @@ predating this module — the perf harness gates this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -113,7 +114,48 @@ class DurabilityPolicy:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "DurabilityPolicy":
+        """Build from the :meth:`as_dict` JSON form; omitted keys take
+        their defaults. A non-object, an unknown key or a value of the
+        wrong type raises :class:`ValueError`, as do the range checks."""
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"durability policy must be a JSON object, got "
+                f"{type(doc).__name__}"
+            )
+        unknown = sorted(set(doc) - set(_POLICY_TYPES))
+        if unknown:
+            raise ValueError(f"unknown durability policy keys: {unknown}")
+        for key, value in doc.items():
+            kind = _POLICY_TYPES[key]
+            if kind is bool:
+                ok = isinstance(value, bool)
+            elif isinstance(value, bool):
+                ok = False
+            elif kind is int:
+                ok = isinstance(value, int)
+            else:
+                ok = (value is None and kind == "optional") or (
+                    isinstance(value, (int, float)) and math.isfinite(value)
+                )
+            if not ok:
+                raise ValueError(
+                    f"durability policy {key} has a bad value {value!r}"
+                )
         return cls(**doc)
+
+
+#: The JSON type of each :class:`DurabilityPolicy` field: ``bool``,
+#: ``int``, a finite number (``float``), or ``"optional"`` (a finite
+#: number or null).
+_POLICY_TYPES: Dict[str, Any] = {
+    "enabled": bool,
+    "replicas": int,
+    "verify_restores": bool,
+    "chunk_pages": int,
+    "scrub_interval_us": "optional",
+    "repair_us_per_chunk": float,
+    "repair_retry_us": float,
+}
 
 
 #: The do-nothing policy: durability plane off, zero perturbation.

@@ -40,7 +40,6 @@ waiting-time breakdowns (Table 3) are computed.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Tuple
 
@@ -48,7 +47,7 @@ from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.host.readahead import ReadaheadPolicy
 from repro.host.uffd import UserfaultfdManager
-from repro.host.vma import ANONYMOUS, AddressSpace, FileBacking, Vma
+from repro.host.vma import ANONYMOUS, AddressSpace, FileBacking
 from repro.sim import Environment, Event, SimulationError
 from repro.storage.filestore import PAGE_SIZE
 
@@ -247,11 +246,6 @@ class FaultHandler:
         self.label = label
         self.readahead = ReadaheadPolicy(params)
         self.stats = FaultStats()
-        #: Last VMA the fast path resolved, valid while the space's
-        #: mapping ``version`` is unchanged — consecutive accesses
-        #: overwhelmingly hit the same region.
-        self._vma_cache: Optional[Vma] = None
-        self._vma_version = -1
         #: Device whose I/O counters are attributed to userfaultfd
         #: faults (set when a uffd handler reads from disk on the
         #: VM's behalf, e.g. REAP's out-of-working-set path).
@@ -396,32 +390,33 @@ class FaultHandler:
         vnow: float,
         horizon: float = float("inf"),
     ) -> Any:
-        """Service one access synchronously if it cannot block.
+        """Service synchronously one access the batching vCPU could not
+        service inline.
 
-        This is the batching fast path (the paper's §3 observation
-        that anonymous ≈2.5 µs, minor ≈3.7 µs and EPT-fixup faults
-        have deterministic service times makes aggregation exact):
-        accesses whose outcome and cost depend only on state this VM
-        itself mutates — EPT hits, installed-PTE fixups, anonymous
-        zero-fills, sparse-file holes, and page-cache minor faults on
-        an unbounded cache — are handled without touching the event
-        heap. ``vnow`` is the caller's virtual clock; the return is
-        ``(record, new_vnow)`` computed with exactly the float
-        arithmetic the per-event path would have produced, so a later
-        :meth:`Environment.wake_at` flush lands the real clock on a
-        bit-identical instant.
+        The vCPU's batched loop (:meth:`repro.vm.vcpu.VCpu.run_trace`)
+        services the kinds that never block itself: EPT read hits,
+        PRESENT fixups, ANON zero-fills, and MINOR faults on sparse
+        holes or pages resident in an unbounded cache (the paper's §3
+        observation that their service times are deterministic makes
+        aggregation exact). It hands over the rest: writes to mapped
+        pages, userfaultfd-registered pages, and file pages that are
+        not resident. ``vnow`` is the caller's virtual clock; the
+        return is ``(record, new_vnow)`` computed with exactly the
+        float arithmetic the per-event path would have produced, so a
+        later :meth:`Environment.wake_at` flush lands the real clock on
+        a bit-identical instant.
 
-        Major faults are also serviced synchronously when the device
-        is idle and no other simulation event fires before the fault
+        Major faults are serviced synchronously when the device is
+        idle and no other simulation event fires before the fault
         would complete (checked against the event heap), which covers
         the common cold-start stream of one uncontended readahead
         window per fault.
 
         Returns ``None`` when the access must take the event-driven
-        slow path: userfaultfd-delegated pages, waits on in-flight
-        reads, contended major faults, and faults against a
-        capacity-bounded cache (whose LRU/eviction behaviour is
-        order-sensitive).
+        slow path: userfaultfd handlers without a synchronous twin,
+        waits on in-flight reads, contended major faults, and faults
+        against a capacity-bounded cache (whose LRU/eviction behaviour
+        is order-sensitive).
 
         ``horizon`` is the next instant a concurrent observer reads
         the installed-PTE count (the mincore recorder's RSS poll).
@@ -434,10 +429,6 @@ class FaultHandler:
         params = self.params
 
         if page in space.ept:
-            if not write:
-                # The overwhelmingly common case: a read of an
-                # already-mapped page costs nothing.
-                return FaultRecord(FaultKind.NONE, page, vnow, 0.0), vnow
             record = self._mapped_access(page, write, value, vnow)
             end = vnow
             if record.duration_us > 0:
@@ -447,85 +438,12 @@ class FaultHandler:
                 self.stats.records.append(record)
             return record, end
 
-        if page in space.pte:
-            end = vnow + self._cost(params.present_fault_us, page, 1)
-            if end >= horizon:
-                return HORIZON_BLOCKED
-            space.ept.add(page)
-            record = FaultRecord(FaultKind.PRESENT, page, vnow, end - vnow)
-            if write:
-                space.write_anon(page, self._required_value(value))
-            self.stats.records.append(record)
-            return record, end
-
         if self.uffd is not None:
             registration = self.uffd.lookup(page)
             if registration is not None:
                 return self._fast_uffd(
                     registration, page, write, value, vnow, horizon
                 )
-
-        # One-entry VMA cache: consecutive accesses overwhelmingly hit
-        # the same region, making the bisect in resolve() the
-        # exception rather than the rule.
-        vma = self._vma_cache
-        if (
-            vma is None
-            or self._vma_version != space.version
-            or not (vma.start <= page < vma.start + vma.npages)
-        ):
-            vma = space.resolve(page)
-            if vma is None:
-                raise SimulationError(
-                    f"{self.label}: access to unmapped page {page} (SIGSEGV)"
-                )
-            self._vma_cache = vma
-            self._vma_version = space.version
-
-        if vma.backing is ANONYMOUS:
-            end = vnow + self._cost(params.anon_fault_us, page, 2)
-            if end >= horizon:
-                return HORIZON_BLOCKED
-            space.pte[page] = space.anon_contents.get(page, 0)
-            space.ept.add(page)
-            if write:
-                space.write_anon(page, self._required_value(value))
-            record = FaultRecord(FaultKind.ANON, page, vnow, end - vnow)
-            self.stats.records.append(record)
-            return record, end
-
-        backing = vma.backing
-        file = backing.file
-        file_page = backing.file_start_page + (page - vma.start)
-
-        # Inlined StoredFile.is_hole / page_value and the unbounded
-        # page-cache residency probe: this branch runs once per minor
-        # fault and the attribute/range-check overhead of the general
-        # accessors is measurable at that rate.
-        content = file.pages.get(file_page, 0)
-        cache = self.cache
-        if cache.capacity_pages is None:
-            runs = cache._runs.get(file.name)
-            if runs is not None:
-                index = bisect_right(runs.starts, file_page) - 1
-                resident = index >= 0 and file_page < runs.ends[index]
-            else:
-                resident = False
-        else:
-            resident = False
-        if (file.sparse and content == 0) or resident:
-            end = vnow + self._cost(params.minor_fault_us, page, 3)
-            if write:
-                end = end + params.cow_copy_us
-            if end >= horizon:
-                return HORIZON_BLOCKED
-            space.pte[page] = content
-            space.ept.add(page)
-            if write:
-                space.write_anon(page, self._required_value(value))
-            record = FaultRecord(FaultKind.MINOR, page, vnow, end - vnow)
-            self.stats.records.append(record)
-            return record, end
 
         # MAJOR fault. Its service time is computable synchronously
         # when (a) the device would grant a queue slot and the
@@ -536,6 +454,13 @@ class FaultHandler:
         # than the per-event path would have produced it.
         if self.cache.capacity_pages is not None:
             return None
+        vma = space.resolve(page)
+        if vma is None:
+            raise SimulationError(
+                f"{self.label}: access to unmapped page {page} (SIGSEGV)"
+            )
+        file_page = vma.file_page(page)
+        file = vma.backing.file
         if self.cache.has_pending(file.name, file_page):
             # Wait on the in-flight read: inherently event-driven.
             return None

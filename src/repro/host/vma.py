@@ -210,7 +210,8 @@ class AddressSpace:
         if index < 0:
             return None
         vma = self._vmas[index]
-        return vma if vma.contains(page) else None
+        # ``vma.start <= page`` holds by the bisect.
+        return vma if page < vma.start + vma.npages else None
 
     def vmas(self) -> List[Vma]:
         """All VMAs in address order."""

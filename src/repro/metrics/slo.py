@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -147,6 +148,51 @@ class _Window:
         return bad_fraction / (1.0 - target)
 
 
+def _entries(
+    config: dict, section: str, required: set, optional: set = frozenset()
+) -> List[Tuple[str, dict]]:
+    """``(where, entry)`` for each entry of the ``section`` list of an
+    SLO config, each checked to be an object with a non-empty string
+    ``name`` unique in its section, every ``required`` key and no key
+    outside ``required | optional``."""
+    entries = config.get(section, [])
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"slo {section} must be a list, got {type(entries).__name__}"
+        )
+    checked = []
+    names = set()
+    for index, entry in enumerate(entries):
+        where = f"slo {section}[{index}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object")
+        missing = required - set(entry)
+        if missing:
+            raise ValueError(f"{where} is missing {sorted(missing)}")
+        unknown = set(entry) - required - optional
+        if unknown:
+            raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+        name = entry["name"]
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"{where}.name must be a non-empty string")
+        if name in names:
+            raise ValueError(f"{where}: duplicate name {name!r}")
+        names.add(name)
+        checked.append((where, entry))
+    return checked
+
+
+def _number(where: str, key: str, value: Any) -> float:
+    """``value`` as a float, if it is a finite JSON number."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 class SloMonitor:
     """Feeds SLI samples into per-objective burn windows and raises
     deduplicated multi-window alerts.
@@ -202,35 +248,56 @@ class SloMonitor:
              "rules": [{"name": "fast", "long_window_ms": 300000,
                         "short_window_ms": 30000, "factor": 14.4}]}
 
-        Omitted sections fall back to the defaults.
+        Omitted or empty sections fall back to the defaults. Anything
+        else that is not this shape — a non-object, unknown or missing
+        keys, non-numeric or non-finite numbers, duplicate names —
+        raises :class:`ValueError`.
         """
-        config = config or {}
+        if config is None:
+            config = {}
+        if not isinstance(config, dict):
+            raise ValueError(
+                f"slo config must be a JSON object, got "
+                f"{type(config).__name__}"
+            )
         unknown = set(config) - {"objectives", "rules"}
         if unknown:
             raise ValueError(f"unknown slo config keys: {sorted(unknown)}")
         objectives: List[SloObjective] = []
-        for entry in config.get("objectives", ()):
+        for where, entry in _entries(
+            config, "objectives", {"name", "kind", "target"}, {"threshold_ms"}
+        ):
             threshold_ms = entry.get("threshold_ms")
             objectives.append(
                 SloObjective(
                     name=entry["name"],
                     kind=entry["kind"],
-                    target=float(entry["target"]),
+                    target=_number(where, "target", entry["target"]),
                     threshold_us=(
-                        float(threshold_ms) * 1000.0
+                        _number(where, "threshold_ms", threshold_ms) * 1000.0
                         if threshold_ms is not None
                         else None
                     ),
                 )
             )
         rules: List[BurnRateRule] = []
-        for entry in config.get("rules", ()):
+        for where, entry in _entries(
+            config,
+            "rules",
+            {"name", "long_window_ms", "short_window_ms", "factor"},
+        ):
             rules.append(
                 BurnRateRule(
                     name=entry["name"],
-                    long_us=float(entry["long_window_ms"]) * 1000.0,
-                    short_us=float(entry["short_window_ms"]) * 1000.0,
-                    factor=float(entry["factor"]),
+                    long_us=_number(
+                        where, "long_window_ms", entry["long_window_ms"]
+                    )
+                    * 1000.0,
+                    short_us=_number(
+                        where, "short_window_ms", entry["short_window_ms"]
+                    )
+                    * 1000.0,
+                    factor=_number(where, "factor", entry["factor"]),
                 )
             )
         return cls(

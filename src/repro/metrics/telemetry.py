@@ -544,10 +544,9 @@ class HostTelemetry:
         self.uffd_delegated = counter(f"{root}.uffd.delegated_faults")
         self.invocations = counter(f"{root}.invocations")
         self.record_phases = counter(f"{root}.record_phases")
-        #: FaultKind -> (counter, profiler label), keyed by enum
-        #: identity to skip the DynamicClassAttribute ``.value`` read
-        #: and the label f-string on the per-invocation absorb path.
-        self._fault_counters: Dict[Any, Tuple[Counter, str]] = {}
+        #: FaultKind value -> (counter, profiler label), cached to skip
+        #: the label f-strings on the per-invocation absorb path.
+        self._fault_counters: Dict[str, Tuple[Counter, str]] = {}
 
     def absorb_fault_records(self, records) -> None:
         """Fold one invocation's fault records into the host's
@@ -561,24 +560,32 @@ class HostTelemetry:
         from repro.host.fault import FaultKind
 
         counters = self._fault_counters
-        observe = self.fault_time.observe
+        histogram = self.fault_time.histogram
+        edges = histogram.edges
+        buckets = histogram.counts
+        histogram_sum = self.fault_time.sum
         none_kind = FaultKind.NONE
         minor_kind = FaultKind.MINOR
         major_kind = FaultKind.MAJOR
         # Batch per kind: one counter bump and one profiler charge per
-        # kind instead of per record. The histogram still observes each
-        # duration individually (bucket counts are order-independent).
-        totals: Dict[FaultKind, List[float]] = {}
+        # kind instead of per record, keyed by the kind's value string
+        # (its hash is cached; ``Enum.__hash__`` is a Python-level call
+        # per record). The histogram observes each duration inline, in
+        # record order, so its running sum adds up exactly as one
+        # ``observe`` call per record would.
+        totals: Dict[str, List[float]] = {}
         hits = misses = shared = 0
         for record in records:
             kind = record.kind
             if kind is none_kind:
                 continue
             duration = record.duration_us
-            observe(duration)
-            agg = totals.get(kind)
+            index = bisect_right(edges, duration) - 1
+            buckets[index if index > 0 else 0] += 1
+            histogram_sum += duration
+            agg = totals.get(kind._value_)
             if agg is None:
-                totals[kind] = [1, duration]
+                totals[kind._value_] = [1, duration]
             else:
                 agg[0] += 1
                 agg[1] += duration
@@ -589,12 +596,13 @@ class HostTelemetry:
                     misses += 1
                 else:
                     shared += 1
-        for kind, (count, total_us) in totals.items():
-            entry = counters.get(kind)
+        self.fault_time.sum = histogram_sum
+        for value, (count, total_us) in totals.items():
+            entry = counters.get(value)
             if entry is None:
-                entry = counters[kind] = (
-                    self.registry.counter(f"{self.root}.fault.{kind.value}"),
-                    f"fault.{kind.value}",
+                entry = counters[value] = (
+                    self.registry.counter(f"{self.root}.fault.{value}"),
+                    f"fault.{value}",
                 )
             ctr, label = entry
             ctr.value += count

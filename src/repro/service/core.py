@@ -415,7 +415,8 @@ class ClusterService:
 
     def _validate(self, command: Command) -> None:
         """Reject a command that names a function outside the fleet or
-        a host the cluster does not have, or a fault plan that does.
+        a host the cluster does not have, a fault plan that does, or a
+        malformed SLO config.
         Runs before any state changes (prep included), so a rejected
         command leaves nothing to journal and the service keeps
         serving."""
@@ -441,6 +442,11 @@ class ClusterService:
                 )
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ServiceError(f"arm: {exc}") from None
+        elif isinstance(command, SetSloCommand):
+            try:
+                SloMonitor.from_dict(command.config)
+            except ValueError as exc:
+                raise ServiceError(f"set-slo: {exc}") from None
 
     # -- lifecycle -----------------------------------------------------
 

@@ -17,7 +17,9 @@ synthesises zeros without touching the device.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim import Environment, Event, SimulationError
@@ -25,6 +27,16 @@ from repro.storage.device import BlockDevice
 
 PAGE_SIZE = 4096
 """Bytes per page, matching the x86 base page size used throughout."""
+
+
+_FNV_OFFSET = 2166136261
+_FNV_PRIME = 16777619
+_MASK32 = 0xFFFFFFFF
+
+
+def _skip_holes(digest: int, holes: int) -> int:
+    """``digest`` after FNV-1a over ``holes`` zero tokens."""
+    return (digest * pow(_FNV_PRIME, holes, 1 << 32)) & _MASK32
 
 
 @dataclass
@@ -79,22 +91,43 @@ class StoredFile:
         files with identical logical contents checksum identically
         whether stored sparse or dense. This is the integrity unit
         the snapshot durability plane publishes, verifies at restore
-        time, and scrubs (:mod:`repro.faults.durability`)."""
+        time, and scrubs (:mod:`repro.faults.durability`).
+
+        The cost is O(data pages + chunks), not O(pages): a zero token
+        leaves an FNV-1a step as a bare multiply, so a run of ``k``
+        holes folds into one multiply by ``FNV_PRIME**k mod 2**32``
+        and an all-hole chunk shares one precomputed digest."""
         if chunk_pages < 1:
             raise SimulationError(
                 f"chunk_pages must be >= 1, got {chunk_pages}"
             )
-        checksums = []
-        for start in range(0, self.num_pages, chunk_pages):
-            digest = 2166136261
-            for index in range(
-                start, min(start + chunk_pages, self.num_pages)
-            ):
-                value = self.pages.get(index, 0)
-                digest = (
-                    (digest ^ (value & 0xFFFFFFFF)) * 16777619
-                ) & 0xFFFFFFFF
-            checksums.append(digest)
+        num_pages = self.num_pages
+        if num_pages == 0:
+            return ()
+        count = -(-num_pages // chunk_pages)
+        checksums = [_skip_holes(_FNV_OFFSET, chunk_pages)] * count
+        short = num_pages - (count - 1) * chunk_pages
+        if short != chunk_pages:
+            checksums[-1] = _skip_holes(_FNV_OFFSET, short)
+        pages = self.pages
+        chunk = -1
+        digest = pos = end = 0
+        keys = sorted(pages)
+        in_range = keys[bisect_left(keys, 0) : bisect_left(keys, num_pages)]
+        for index in in_range:
+            if index >= end:
+                if chunk >= 0:
+                    checksums[chunk] = _skip_holes(digest, end - pos)
+                chunk = index // chunk_pages
+                pos = chunk * chunk_pages
+                end = min(pos + chunk_pages, num_pages)
+                digest = _FNV_OFFSET
+            if index != pos:
+                digest = _skip_holes(digest, index - pos)
+            digest = ((digest ^ (pages[index] & _MASK32)) * _FNV_PRIME) & _MASK32
+            pos = index + 1
+        if chunk >= 0:
+            checksums[chunk] = _skip_holes(digest, end - pos)
         return tuple(checksums)
 
     def read(
@@ -106,16 +139,11 @@ class StoredFile:
         Hole pages of sparse files are synthesised without I/O; runs
         of data pages are issued as single contiguous device reads.
         """
-        self._check_page(page_index)
-        if npages < 1:
-            raise SimulationError(f"read of {npages} pages")
-        if page_index + npages > self.num_pages:
-            raise SimulationError(
-                f"read past EOF of {self.name}: page {page_index}+{npages} "
-                f"> {self.num_pages}"
-            )
-        values = [self.page_value(page_index + i) for i in range(npages)]
-        for run_start, run_len in self.data_runs(page_index, npages):
+        self._check_range(page_index, npages)
+        values = list(
+            map(self.pages.get, range(page_index, page_index + npages), repeat(0))
+        )
+        for run_start, run_len in self._data_runs(page_index, npages):
             yield from self.device.read(
                 self.base_offset + run_start * PAGE_SIZE, run_len * PAGE_SIZE
             )
@@ -126,12 +154,19 @@ class StoredFile:
     ) -> Iterable[Tuple[int, int]]:
         """Contiguous runs of pages that require device I/O (holes of
         sparse files split runs and cost nothing)."""
+        self._check_range(page_index, npages)
+        return self._data_runs(page_index, npages)
+
+    def _data_runs(
+        self, page_index: int, npages: int
+    ) -> Iterable[Tuple[int, int]]:
         if not self.sparse:
             yield (page_index, npages)
             return
+        get = self.pages.get
         run_start: Optional[int] = None
         for i in range(page_index, page_index + npages):
-            if self.page_value(i) != 0:
+            if get(i, 0) != 0:
                 if run_start is None:
                     run_start = i
             elif run_start is not None:
@@ -139,6 +174,16 @@ class StoredFile:
                 run_start = None
         if run_start is not None:
             yield (run_start, page_index + npages - run_start)
+
+    def _check_range(self, page_index: int, npages: int) -> None:
+        self._check_page(page_index)
+        if npages < 1:
+            raise SimulationError(f"read of {npages} pages")
+        if page_index + npages > self.num_pages:
+            raise SimulationError(
+                f"read past EOF of {self.name}: page {page_index}+{npages} "
+                f"> {self.num_pages}"
+            )
 
     def _check_page(self, page_index: int) -> None:
         if not 0 <= page_index < self.num_pages:

@@ -14,6 +14,7 @@ grows — the paper's observation at 64-way parallelism (§6.6).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional
 
@@ -23,9 +24,14 @@ from repro.host.fault import (
     FaultKind,
     FaultRecord,
 )
-from repro.sim import Environment, Event, Resource
+from repro.host.vma import ANONYMOUS
+from repro.sim import Environment, Event, Resource, SimulationError
 
 INFINITY = float("inf")
+NONE = FaultKind.NONE
+PRESENT = FaultKind.PRESENT
+ANON = FaultKind.ANON
+MINOR = FaultKind.MINOR
 
 
 class ObservationHorizon:
@@ -148,17 +154,42 @@ class VCpu:
         whenever the trace hits a slow-path access (or ends). Think
         time folds into the batch when no host CPU slot is modelled;
         with a CPU resource it must contend, so it flushes first.
+
+        The kinds that never block are serviced right here, one loop
+        iteration per access: EPT read hits, PRESENT fixups, ANON
+        zero-fills, and MINOR faults on sparse holes or pages resident
+        in an unbounded cache. Everything else goes to
+        :meth:`~repro.host.fault.FaultHandler.fast_access`, and from
+        there, when it cannot be serviced synchronously, to the
+        event-driven :meth:`~repro.host.fault.FaultHandler.access`.
+        An access whose install would land at or past the observer
+        horizon flushes, lets the observer catch up, and is classified
+        again in the same iteration.
         """
         env = self.env
         handler = self.handler
+        space = handler.space
+        ept = space.ept
+        pte = space.pte
+        anon_contents = space.anon_contents
+        params = handler.params
+        cost = handler._cost
+        cache = handler.cache
+        uffd = handler.uffd
+        stats_append = handler.stats.records.append
+        fast_access = handler.fast_access
         started = env.now
         records: List[FaultRecord] = []
+        append = records.append
         vnow = started
         horizon = self.observer_horizon
-        fast_access = handler.fast_access
-        append = records.append
         no_cpu = self.cpu is None
         slow = 0
+        # One-entry VMA cache, valid while the mapping version holds:
+        # consecutive accesses overwhelmingly hit the same region.
+        vma = None
+        vma_version = -1
+        vma_start = vma_end = 0
         for access in trace:
             if access.think_us > 0:
                 if no_cpu:
@@ -168,34 +199,106 @@ class VCpu:
                         yield env.wake_at(vnow)
                     yield from self._compute(access.think_us)
                     vnow = env.now
+            page = access.page
+            write = access.write
             while True:
-                fast = fast_access(
-                    access.page,
-                    access.write,
-                    access.value,
-                    vnow,
-                    horizon.next_at if horizon is not None else INFINITY,
-                )
+                if page in ept:
+                    if not write:
+                        # The overwhelmingly common case: a read of an
+                        # already-mapped page costs nothing.
+                        record = FaultRecord(NONE, page, vnow, 0.0)
+                        break
+                    kind = None
+                elif page in pte:
+                    kind = PRESENT
+                    end = vnow + cost(params.present_fault_us, page, 1)
+                elif uffd is not None and uffd.lookup(page) is not None:
+                    kind = None
+                else:
+                    if (
+                        vma_version != space.version
+                        or not vma_start <= page < vma_end
+                    ):
+                        vma = space.resolve(page)
+                        if vma is None:
+                            raise SimulationError(
+                                f"{handler.label}: access to unmapped "
+                                f"page {page} (SIGSEGV)"
+                            )
+                        vma_version = space.version
+                        vma_start = vma.start
+                        vma_end = vma_start + vma.npages
+                    backing = vma.backing
+                    if backing is ANONYMOUS:
+                        kind = ANON
+                        end = vnow + cost(params.anon_fault_us, page, 2)
+                        content = anon_contents.get(page, 0)
+                    else:
+                        file = backing.file
+                        file_page = backing.file_start_page + (page - vma_start)
+                        content = file.pages.get(file_page, 0)
+                        # MINOR without I/O: a sparse hole, or a page
+                        # resident in an unbounded cache.
+                        if file.sparse and content == 0:
+                            minor = True
+                        elif cache.capacity_pages is None:
+                            runs = cache._runs.get(file.name)
+                            if runs is None:
+                                minor = False
+                            else:
+                                index = bisect_right(runs.starts, file_page) - 1
+                                minor = (
+                                    index >= 0 and file_page < runs.ends[index]
+                                )
+                        else:
+                            minor = False
+                        if minor:
+                            kind = MINOR
+                            end = vnow + cost(params.minor_fault_us, page, 3)
+                            if write:
+                                end = end + params.cow_copy_us
+                        else:
+                            kind = None
+                if kind is None:
+                    fast = fast_access(
+                        page,
+                        write,
+                        access.value,
+                        vnow,
+                        horizon.next_at if horizon is not None else INFINITY,
+                    )
+                    if fast is not None and fast is not HORIZON_BLOCKED:
+                        record, vnow = fast
+                        break
+                elif horizon is None or end < horizon.next_at:
+                    if kind is not PRESENT:
+                        pte[page] = content
+                    ept.add(page)
+                    if write:
+                        handler._apply_write(page, True, access.value)
+                    record = FaultRecord(kind, page, vnow, end - vnow)
+                    stats_append(record)
+                    vnow = end
+                    break
+                else:
+                    fast = HORIZON_BLOCKED
                 if fast is HORIZON_BLOCKED and vnow > env.now:
                     # An eager install would land at or past the next
                     # observer read. Flush so the observer catches up
-                    # (moving its horizon forward), then retry.
+                    # (moving its horizon forward), then classify again.
                     yield env.wake_at(vnow)
                     continue
-                break
-            if fast is None or fast is HORIZON_BLOCKED:
                 if vnow > env.now:
                     yield env.wake_at(vnow)
                 record = yield from handler.access(
-                    access.page, write=access.write, value=access.value
+                    page, write=write, value=access.value
                 )
                 vnow = env.now
                 slow += 1
-            else:
-                record, vnow = fast
+                break
             append(record)
         if tail_think_us > 0:
-            if self.cpu is None:
+            if no_cpu:
                 vnow += tail_think_us
             else:
                 if vnow > env.now:

@@ -240,3 +240,20 @@ def test_serve_replay_of_a_torn_journal_gives_a_verdict(tmp_path, capsys):
     assert main(["serve", "--replay", str(path)]) == 1
     out = capsys.readouterr().out
     assert f"replay FAILED: unreadable journal ({path}:2: bad entry" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["serve", "--arrivals", "none", "--slo", "{bad"], "--slo"),
+        (["serve", "--arrivals", "none", "--slo", '{"objectives": 3}'], "--slo"),
+        (["serve", "--arrivals", "none", "--durability", "[1]"], "--durability"),
+        (["cluster", "--durability", '{"replicas": "x"}'], "--durability"),
+        (["cluster", "--slo", '{"rules": {}}'], "--slo"),
+        (["chaos", "--scenario", "host-crash-storm", "--slo", "[1]"], "--slo"),
+    ],
+)
+def test_malformed_json_flags_are_usage_errors(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")

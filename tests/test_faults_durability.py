@@ -121,6 +121,27 @@ def test_policy_round_trips_through_json():
     assert not DISABLED_DURABILITY.enabled
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1],
+        "enabled",
+        {"replicas": "x"},
+        {"replicas": True},
+        {"replicas": 2.0},
+        {"enabled": 1},
+        {"chunk_pages": None},
+        {"scrub_interval_us": float("nan")},
+        {"repair_retry_us": "5"},
+        {"replica": 2},
+        {"replicas": 0},
+    ],
+)
+def test_policy_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        DurabilityPolicy.from_dict(doc)
+
+
 def test_fail_slow_validation_and_round_trip():
     with pytest.raises(ValueError):
         FailSlow(host="h", start_us=-1.0)

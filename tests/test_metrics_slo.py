@@ -133,6 +133,35 @@ def test_from_dict_rejects_unknown_keys():
         SloMonitor.from_dict({"objective": []})
 
 
+_RULE = {"name": "r", "long_window_ms": 10, "short_window_ms": 1, "factor": 2}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1],
+        "objectives",
+        {"objectives": 3},
+        {"objectives": {"name": "a"}},
+        {"objectives": [3]},
+        {"objectives": [{"name": "a", "kind": "availability"}]},
+        {"objectives": [{"name": "a", "kind": "availability", "target": "0.9"}]},
+        {"objectives": [{"name": "a", "kind": "availability", "target": True}]},
+        {"objectives": [{"name": 3, "kind": "availability", "target": 0.9}]},
+        {"objectives": [{"name": "a", "kind": "latency", "target": 0.9, "threshold_ms": float("nan")}]},
+        {"objectives": [{"name": "a", "kind": "availability", "target": 0.9, "extra": 1}]},
+        {"objectives": [{"name": "a", "kind": ["x"], "target": 0.9}]},
+        {"rules": [{"name": "r"}]},
+        {"rules": [dict(_RULE, factor=None)]},
+        {"rules": [dict(_RULE, long_window_ms=float("inf"))]},
+        {"rules": [_RULE, _RULE]},
+    ],
+)
+def test_from_dict_rejects_malformed_configs(config):
+    with pytest.raises(ValueError):
+        SloMonitor.from_dict(config)
+
+
 def test_status_sha_is_deterministic():
     one = _monitor()
     two = _monitor()

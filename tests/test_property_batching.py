@@ -16,10 +16,10 @@ from repro.host import HostParams, PageCache
 from repro.host.fault import FaultHandler
 from repro.host.uffd import UserfaultfdManager
 from repro.host.vma import AddressSpace
-from repro.sim import Environment
+from repro.sim import Environment, Resource
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.vm import create_snapshot
-from repro.vm.vcpu import GuestAccess, VCpu
+from repro.vm.vcpu import GuestAccess, ObservationHorizon, VCpu
 
 HOST = HostParams()
 
@@ -34,10 +34,10 @@ def _device(env):
     )
 
 
-def _build_file_backed(file_pages, sparse):
+def _build_file_backed(file_pages, sparse, capacity_pages=None):
     env = Environment()
     store = FileStore(env, _device(env))
-    cache = PageCache(env)
+    cache = PageCache(env, capacity_pages=capacity_pages)
     file = store.create("mem", FILE_PAGES, pages=file_pages, sparse=sparse)
     space = AddressSpace(TOTAL_PAGES)
     space.mmap_file(0, FILE_PAGES, file, 0)
@@ -150,3 +150,92 @@ def test_batched_uffd_faults_match_event_path(file_pages, raw):
         delegated.append(handler.uffd.delegated_faults)
     assert seen[0] == seen[1]
     assert delegated[0] == delegated[1]
+
+
+def _observer(env, handler, horizon, readings, interval_us, count):
+    """A mincore-recorder stand-in: publishes its next read instant on
+    ``horizon`` before each sleep, then reads the state the fast path
+    mutates eagerly (the installed-PTE and EPT counts, cache
+    residency)."""
+    space = handler.space
+    for _ in range(count):
+        horizon.next_at = env.now + interval_us
+        yield env.timeout(interval_us)
+        readings.append(
+            (env.now, len(space.pte), len(space.ept), len(handler.cache))
+        )
+    horizon.next_at = float("inf")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    file_contents,
+    st.booleans(),
+    accesses,
+    st.sampled_from([0.7071, 4.1231, 97.3313]),
+)
+def test_batched_trace_matches_event_path_under_an_observer(
+    file_pages, sparse, raw, interval_us
+):
+    # The record-phase case: a concurrent observer moves the horizon
+    # forward while the vCPU runs, so the batched path must flush
+    # and classify again whenever an install would reach it.
+    trace = _trace(raw, TOTAL_PAGES)
+    seen = []
+    for batch in (False, True):
+        env, handler, device = _build_file_backed(file_pages, sparse)
+        vcpu = VCpu(env, handler, batch_faults=batch)
+        horizon = ObservationHorizon()
+        vcpu.observer_horizon = horizon
+        readings = []
+        env.process(
+            _observer(env, handler, horizon, readings, interval_us, 60)
+        )
+        proc = env.process(vcpu.run_trace(trace, tail_think_us=1.0))
+        env.run()
+        seen.append(
+            (_observe(env, handler, device, proc.value), tuple(readings))
+        )
+    assert seen[0] == seen[1]
+
+
+def _cpu_noise(env, cpu, period_us, hold_us, count):
+    """Another tenant of the host CPU: grabs the slot every
+    ``period_us`` for ``hold_us``."""
+    yield env.timeout(0.3137)
+    for _ in range(count):
+        request = cpu.request()
+        yield request
+        yield env.timeout(hold_us)
+        cpu.release(request)
+        yield env.timeout(period_us)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    file_contents,
+    st.booleans(),
+    accesses,
+    st.sampled_from([None, 2, 8]),
+    st.booleans(),
+)
+def test_batched_trace_matches_event_path_with_bounded_cache_and_cpu(
+    file_pages, sparse, raw, capacity, contended
+):
+    # A capacity-bounded cache (order-sensitive LRU: file pages go to
+    # the event path) and a modelled host CPU (think time contends
+    # for a slot, so the batch flushes before it).
+    trace = _trace(raw, TOTAL_PAGES)
+    seen = []
+    for batch in (False, True):
+        env, handler, device = _build_file_backed(
+            file_pages, sparse, capacity_pages=capacity
+        )
+        cpu = Resource(env, capacity=1)
+        if contended:
+            env.process(_cpu_noise(env, cpu, 4.7113, 1.9319, 30))
+        vcpu = VCpu(env, handler, cpu=cpu, batch_faults=batch)
+        proc = env.process(vcpu.run_trace(trace, tail_think_us=1.0))
+        env.run()
+        seen.append(_observe(env, handler, device, proc.value))
+    assert seen[0] == seen[1]

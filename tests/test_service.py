@@ -378,6 +378,11 @@ def test_journal_replay_detects_divergence(tmp_path):
         'arm {"fail_slows":[{"host":"host9","start_us":1}]}',
         'arm {"corruptions":[{"host":"host0","function":"nosuchfn",'
         '"at_us":1}]}',
+        'set-slo {"objectives": 3}',
+        "set-slo [1]",
+        'set-slo {"rules": [{"name": "r"}]}',
+        'set-slo {"objectives": [{"name": "a", "kind": "availability",'
+        ' "target": "0.9"}]}',
     ],
 )
 def test_unknown_names_are_rejected_and_the_journal_replays(tmp_path, bad):

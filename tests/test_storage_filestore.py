@@ -1,6 +1,8 @@
 """Unit tests for the file store and sparse files."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, SimulationError
 from repro.storage import BlockDevice, DeviceSpec, FileStore
@@ -173,3 +175,68 @@ def test_sequential_file_read_is_sequential_on_device(setup):
     run(env, proc())
     assert device.stats.requests == 8
     assert device.stats.sequential_requests == 7
+
+
+def _dense_chunk_checksums(stored, chunk_pages):
+    """The reference: one FNV-1a step per page of the file, holes
+    hashing as zero tokens."""
+    checksums = []
+    for start in range(0, stored.num_pages, chunk_pages):
+        digest = 2166136261
+        for index in range(start, min(start + chunk_pages, stored.num_pages)):
+            value = stored.pages.get(index, 0)
+            digest = ((digest ^ (value & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
+        checksums.append(digest)
+    return tuple(checksums)
+
+
+_tokens = st.one_of(
+    st.integers(1, 9),
+    st.just(0),
+    st.integers(-(2**40), -1),
+    st.integers(2**32 - 2, 2**70),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.sampled_from(["sparse", "dense"]),
+    st.data(),
+    st.one_of(st.integers(1, 9), st.sampled_from([1, 64, 301, 10_000])),
+    st.booleans(),
+)
+def test_chunk_checksums_match_the_dense_loop(
+    num_pages, density, data, chunk_pages, sparse
+):
+    # Keys outside [0, num_pages) are stored but never hashed; zero
+    # tokens, negative tokens and tokens wider than 32 bits hash as
+    # their low 32 bits.
+    if density == "dense":
+        keys = st.integers(-3, num_pages + 3)
+        max_size = num_pages + 6
+    else:
+        keys = st.integers(-3, max(num_pages * 4, 3))
+        max_size = 6
+    pages = data.draw(st.dictionaries(keys, _tokens, max_size=max_size))
+    env = Environment()
+    stored = FileStore(env, None).create("mem", num_pages, sparse=sparse)
+    stored.pages.update(pages)
+    assert stored.chunk_checksums(chunk_pages) == _dense_chunk_checksums(
+        stored, chunk_pages
+    )
+
+
+def test_chunk_checksums_of_a_large_sparse_file_only_visit_its_data():
+    # 1,048,576 pages with 64 data pages: the dense loop would take a
+    # quarter-second here; the sparse walk stays in the milliseconds.
+    env = Environment()
+    pages = {i * 16_411: i + 1 for i in range(64)}
+    stored = FileStore(env, None).create("mem", 1 << 20, pages=pages, sparse=True)
+    checksums = stored.chunk_checksums(64)
+    assert len(checksums) == (1 << 20) // 64
+    hole = _dense_chunk_checksums(FileStore(env, None).create("h", 64), 64)[0]
+    assert checksums.count(hole) == len(checksums) - 64
+    assert stored.chunk_checksums(1 << 20) == _dense_chunk_checksums(
+        stored, 1 << 20
+    )
